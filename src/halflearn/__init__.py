@@ -7,7 +7,6 @@ bounds, localization rate checks) and returns a trustworthy halfspace, or
 rejects the data. See the README for the pipeline and the CLI.
 """
 
-from ._kernels import USING_EXTENSION
 from .chow import ChowEstimate, default_batch_count, estimate_chow
 from .core import (NORM_FLOOR, DegenerateVectorError, Halfspace,
                    LabeledSampleSet, RunConfig, UnitVector, empirical_error,
@@ -49,7 +48,6 @@ __all__ = [
     "SlabDecomposition",
     "UnitVector",
     "UpdateOutcome",
-    "USING_EXTENSION",
     "WeakLearnOutcome",
     "WedgeVerdict",
     "acceptance_probabilities",

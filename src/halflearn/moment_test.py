@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from . import verdicts
 from .core import LabeledSampleSet, RunConfig
@@ -62,6 +65,18 @@ class MomentTestReport:
         }
 
 
+@lru_cache(maxsize=16)
+def _reference_table(d: int, k: int):
+    """Monomials of degree 1..k over d variables with their exact Gaussian
+    moments and variances, as read-only arrays."""
+    monomials = tuple(enumerate_monomials(d, k))
+    reference = np.array([gaussian_moment(m) for m in monomials])
+    variance = np.array([gaussian_moment_variance(m) for m in monomials])
+    reference.setflags(write=False)
+    variance.setflags(write=False)
+    return monomials, reference, variance
+
+
 def strict_tolerance(k: int, d: int, constant: float) -> float:
     """Theoretical uniform moment tolerance; vanishing for realistic k, d."""
     if constant <= 0.0:
@@ -82,20 +97,20 @@ def moment_match_test(s: LabeledSampleSet, k: int, cfg: RunConfig,
     if not 1 <= k <= cfg.k_cap:
         raise ValueError(f"k must lie in [1, {cfg.k_cap}]")
 
-    monomials = enumerate_monomials(s.d, k)
+    monomials, reference, variance = _reference_table(s.d, k)
     empirical = batch_empirical_moments(s.points, monomials)
+    if strict_constant is None:
+        tolerance = cfg.slack_multiplier * np.sqrt(variance / s.n)
+    else:
+        tolerance = np.full(len(monomials),
+                            strict_tolerance(k, s.d, strict_constant))
 
-    violations = []
-    for idx, (m, emp) in enumerate(zip(monomials, empirical)):
-        ref = gaussian_moment(m)
-        if strict_constant is None:
-            tol = cfg.slack_multiplier * math.sqrt(
-                gaussian_moment_variance(m) / s.n)
-        else:
-            tol = strict_tolerance(k, s.d, strict_constant)
-        if abs(float(emp) - ref) > tol:
-            violations.append((idx, MomentViolation(m, float(emp), ref, tol)))
-
+    violations = [
+        (idx, MomentViolation(monomials[idx], float(empirical[idx]),
+                              float(reference[idx]), float(tolerance[idx])))
+        for idx in np.flatnonzero(np.abs(empirical - reference)
+                                  > tolerance).tolist()
+    ]
     # Worst first; ties fall back to graded-lex enumeration order.
     violations.sort(key=lambda pair: (-pair[1].ratio, pair[0]))
     worst = tuple(v for _, v in violations[:MAX_REPORTED_VIOLATIONS])

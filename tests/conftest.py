@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import halflearn
 
 settings.register_profile(
     "suite",
@@ -20,3 +27,13 @@ def basis_vector(d: int, axis: int) -> np.ndarray:
     e = np.zeros(d)
     e[axis] = 1.0
     return e
+
+
+def stdout_with_blas_threads(script: str, threads: int) -> bytes:
+    """Standard output of ``python -c script`` in a fresh interpreter whose
+    OpenBLAS runs on ``threads`` threads, with this checkout's package."""
+    src = str(Path(halflearn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, check=True).stdout

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import stdout_with_blas_threads
 
 from halflearn import (Halfspace, RunConfig, empirical_error,
                        random_unit_vector, testable_learn)
@@ -97,6 +98,27 @@ class TestDeterminism:
         a = testable_learn(s, 0.05, 0.05, cfg(4))
         b = testable_learn(s, 0.05, 0.05, cfg(4))
         assert json_dumps(a.to_json_dict()) == json_dumps(b.to_json_dict())
+
+    def test_report_bytes_independent_of_blas_threads(self):
+        # The criterion-10 input, learned in fresh interpreters whose BLAS
+        # runs on one and on two threads.
+        script = (
+            "import sys, numpy as np\n"
+            "from halflearn import RunConfig, random_unit_vector, "
+            "testable_learn\n"
+            "from halflearn.datagen import MarginalFamily, generate, "
+            "make_noise\n"
+            "from halflearn.io import json_dumps\n"
+            "v = random_unit_vector(8, np.random.default_rng([0, 77]))\n"
+            "s = generate(8, 600_000, MarginalFamily('gaussian'), v, "
+            "make_noise('random-flip', 0.0), 0)\n"
+            "report = testable_learn(s, 0.05, 0.05, "
+            "RunConfig(epsilon=0.05, tau=0.05, seed=0))\n"
+            "sys.stdout.write(json_dumps(report.to_json_dict()))\n")
+        payloads = [stdout_with_blas_threads(script, threads)
+                    for threads in (1, 2)]
+        assert payloads[0].startswith(b"{")
+        assert payloads[0] == payloads[1]
 
 
 class TestContract:

@@ -1,8 +1,11 @@
 import itertools
+import math
+import time
 from math import comb
 
 import numpy as np
 import pytest
+from conftest import stdout_with_blas_threads
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +13,9 @@ from halflearn import (LabeledSampleSet, MonomialExponent,
                        batch_empirical_moments, empirical_moment,
                        enumerate_monomials, gaussian_moment,
                        gaussian_moment_variance)
+from halflearn import moments
+
+EPS = np.finfo(np.float64).eps
 
 
 def two_point_set():
@@ -123,3 +129,111 @@ def test_gaussian_concentration_at_desk_scale():
     for m, value in zip(monos, emp):
         band = 5.0 * np.sqrt(gaussian_moment_variance(m) / n)
         assert abs(value - gaussian_moment(m)) <= band, m.exponents
+
+
+def naive_moments(points, monomials):
+    """Product-of-powers mean of each monomial, and the mean of its
+    absolute value, which scales the rounding error of any summation."""
+    values = np.stack([np.prod(points ** np.array(m.exponents), axis=1)
+                       for m in monomials])
+    return values.mean(axis=1), np.abs(values).mean(axis=1)
+
+
+def assert_matches_naive(got, points, monomials):
+    want, scale = naive_moments(points, monomials)
+    # Summing n terms in any order errs by at most about n * eps times
+    # their absolute sum (Higham, Accuracy and Stability, ch. 4); 64 more
+    # ulps cover the rounding of the products of degree <= 20.
+    bound = (points.shape[0] + 64) * EPS * scale
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want)
+                                                       / bound)
+
+
+class TestGramEngine:
+    def test_matches_naive_products(self, rng):
+        for d, k in ((4, 3), (3, 5), (3, 6)):
+            points = rng.standard_normal((1000, d))
+            monos = enumerate_monomials(d, k)
+            assert_matches_naive(batch_empirical_moments(points, monos),
+                                 points, monos)
+
+    def test_mixed_degrees_in_any_order(self, rng):
+        points = rng.standard_normal((700, 4))
+        monos = enumerate_monomials(4, 4) + [
+            MonomialExponent((3, 0, 2, 2)), MonomialExponent((0, 9, 0, 0)),
+            MonomialExponent((1, 1, 1, 0))]
+        monos = [monos[i] for i in rng.permutation(len(monos))]
+        got = batch_empirical_moments(points, monos)
+        assert_matches_naive(got, points, monos)
+        # Each value agrees with a call that asks for that monomial alone.
+        for m, value in zip(monos[:10], got):
+            single = batch_empirical_moments(points, [m])[0]
+            assert abs(single - value) <= 2 * points.shape[0] * EPS * \
+                naive_moments(points, [m])[1][0]
+
+    def test_single_degree_twenty_monomial_is_fast(self, rng):
+        # A basis of every monomial of degree <= 10 at d = 12 would have
+        # C(22, 10) = 646,646 columns; only the two halves are built.
+        points = rng.standard_normal((20_000, 12))
+        monos = [MonomialExponent((3, 2, 0, 1, 4, 0, 2, 1, 3, 2, 1, 1)),
+                 MonomialExponent((20,) + (0,) * 11)]
+        start = time.perf_counter()
+        got = [batch_empirical_moments(points, [m])[0] for m in monos]
+        assert time.perf_counter() - start < 1.0
+        assert_matches_naive(np.array(got), points, monos)
+
+    def test_single_row(self, rng):
+        points = rng.standard_normal((1, 3))
+        monos = enumerate_monomials(3, 4)
+        assert_matches_naive(batch_empirical_moments(points, monos),
+                             points, monos)
+
+    def test_rows_not_a_multiple_of_the_block(self, rng):
+        # d = 3, k = 4 needs 10 columns (the constant, 3 linear, 6
+        # quadratic), padded to one width multiple.
+        rows_per_block = moments._BLOCK_DOUBLES // moments._WIDTH_MULTIPLE
+        points = rng.standard_normal((2 * rows_per_block + 17, 3))
+        monos = enumerate_monomials(3, 4)
+        assert_matches_naive(batch_empirical_moments(points, monos),
+                             points, monos)
+
+    def test_block_size_invariant(self, rng, monkeypatch):
+        points = rng.standard_normal((1000, 3))
+        monos = enumerate_monomials(3, 4)
+        whole = batch_empirical_moments(points, monos)
+        scale = naive_moments(points, monos)[1]
+        for doubles in (1, 70, 999):
+            monkeypatch.setattr(moments, "_BLOCK_DOUBLES", doubles)
+            blocked = batch_empirical_moments(points, monos)
+            assert np.all(np.abs(blocked - whole)
+                          <= 2 * points.shape[0] * EPS * scale)
+
+    def test_bytes_independent_of_blas_threads(self):
+        # 231 columns at d = 20, k = 4, and a partial last block.
+        script = (
+            "import sys, numpy as np\n"
+            "from halflearn import batch_empirical_moments, "
+            "enumerate_monomials\n"
+            "points = np.random.default_rng(5).standard_normal((30_001, 20))\n"
+            "sys.stdout.buffer.write(batch_empirical_moments(\n"
+            "    points, enumerate_monomials(20, 4)).tobytes())\n")
+        one, two = (stdout_with_blas_threads(script, t) for t in (1, 2))
+        assert len(one) == 8 * (comb(24, 4) - 1)
+        assert one == two
+
+    def test_sums_stay_accurate_at_ten_million_rows(self):
+        n, chunk = 10_000_000, 1_000_000
+        points = np.random.default_rng(99).standard_normal((n, 3))
+        monos = [MonomialExponent(e) for e in
+                 ((4, 0, 0), (2, 2, 0), (0, 1, 3))]
+        got = batch_empirical_moments(points, monos)
+        for m, value in zip(monos, got):
+            parts = [np.prod(points[i:i + chunk] ** np.array(m.exponents),
+                             axis=1) for i in range(0, n, chunk)]
+            exact = math.fsum(itertools.chain.from_iterable(
+                part.tolist() for part in parts)) / n
+            scale = sum(float(np.abs(part).sum()) for part in parts) / n
+            # A running sum of these rows errs by up to ~1000 ulps of the
+            # mean absolute value on the even monomials; the blocked Gram
+            # sum stays within a few.
+            assert abs(value - exact) <= 16 * EPS * scale, m.exponents
