@@ -47,14 +47,12 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-cap", type=int, default=4)
-    p.add_argument("--c-a", type=float, default=2.0)
     p.add_argument("--slack", type=float, default=6.0)
 
 
 def _config(args) -> RunConfig:
     return RunConfig(epsilon=args.epsilon, tau=args.tau, seed=args.seed,
-                     k_cap=args.k_cap, c_a=args.c_a,
-                     slack_multiplier=args.slack)
+                     k_cap=args.k_cap, slack_multiplier=args.slack)
 
 
 def cmd_generate(args) -> int:
@@ -148,8 +146,7 @@ def run_experiment_task(task: dict) -> dict:
             np.random.SeedSequence([seed, cell, 2])))
         samples = generate(task["d"], task["n"], marginal, v_star, noise,
                            _seed_int(seed, cell, 0))
-        cfg = RunConfig(epsilon=task["epsilon"], tau=task["tau"], seed=seed,
-                        k_cap=task.get("k_cap", 4))
+        cfg = RunConfig(epsilon=task["epsilon"], tau=task["tau"], seed=seed)
         report = testable_learn(samples, task["epsilon"], task["tau"], cfg)
         row["verdict"] = report.verdict
         row["rejection_stage"] = report.rejection_stage or ""
@@ -182,11 +179,18 @@ _FIELDS = ["cell_index", "d", "n", "epsilon", "marginal", "noise", "opt",
 def cmd_experiment(args) -> int:
     try:
         spec = json.loads(Path(args.spec).read_text())
+        if not isinstance(spec, dict):
+            raise ValueError("spec must be a JSON object")
+        if not isinstance(spec.get("grid"), dict):
+            raise ValueError('"grid" must be an object')
+        seeds = spec.get("seeds")
+        if not (isinstance(seeds, list) and seeds
+                and all(isinstance(seed, int) for seed in seeds)):
+            raise ValueError('"seeds" must be a non-empty list of integers')
         cells = _experiment_cells(spec)
-        seeds = spec["seeds"]
-        if not cells or not seeds:
-            raise ValueError("grid and seeds must be non-empty")
-    except (OSError, ValueError, KeyError) as exc:
+        if not cells:
+            raise ValueError("grid has no cells")
+    except (OSError, ValueError) as exc:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO
     out_path = Path(args.out or spec.get("output_path", "experiment.csv"))

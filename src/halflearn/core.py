@@ -110,16 +110,14 @@ class LabeledSampleSet:
 class RunConfig:
     """Knobs shared by the testers and the full learner.
 
-    c_a is the calibration constant of the weak learner's distance
-    guarantee; slack_multiplier scales every statistical tolerance band
-    (z-score units).
+    k_cap is the degree of the moment test; slack_multiplier scales every
+    statistical tolerance band (z-score units).
     """
 
     epsilon: float
     tau: float
     seed: int
     k_cap: int = 4
-    c_a: float = 2.0
     slack_multiplier: float = 6.0
 
     def __post_init__(self):
@@ -131,8 +129,6 @@ class RunConfig:
             raise ValueError("seed must fit in uint64")
         if int(self.k_cap) < 2:
             raise ValueError("k_cap must be at least 2")
-        if not self.c_a > 0.0:
-            raise ValueError("c_a must be positive")
         if not self.slack_multiplier > 0.0:
             raise ValueError("slack_multiplier must be positive")
 

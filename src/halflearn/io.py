@@ -8,6 +8,7 @@ row ``x1,...,xd,y`` is accepted on read.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -41,6 +42,19 @@ def write_samples_csv(path: str | Path, s: LabeledSampleSet,
                      + f",{int(label)}\n")
 
 
+def _data_rows(fh):
+    """(line number, fields) of every sample row: blank lines and a header
+    on line 1 are skipped."""
+    for line_number, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if line_number == 1 and _is_header(fields):
+            continue
+        yield line_number, fields
+
+
 def read_samples_csv(path: str | Path) -> LabeledSampleSet:
     """Parse a sample CSV; raises CsvFormatError naming the first bad line."""
     path = Path(path)
@@ -48,13 +62,7 @@ def read_samples_csv(path: str | Path) -> LabeledSampleSet:
     labels: list[int] = []
     d: int | None = None
     with path.open("r") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if line_number == 1 and _is_header(fields):
-                continue
+        for line_number, fields in _data_rows(fh):
             if d is None:
                 if len(fields) < 3:
                     raise CsvFormatError(line_number,
@@ -77,8 +85,15 @@ def read_samples_csv(path: str | Path) -> LabeledSampleSet:
             labels.append(int(label))
     if not points:
         raise CsvFormatError(1, "no samples in file")
-    return LabeledSampleSet(np.asarray(points, dtype=np.float64),
-                            np.asarray(labels, dtype=np.int64))
+    array = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(array).all():
+        # float() accepts nan, inf and overflows such as 1e999; find the
+        # first such row's line by reading the file again.
+        row = int(np.argmin(np.isfinite(array).all(axis=1)))
+        with path.open("r") as fh:
+            line_number, _ = next(itertools.islice(_data_rows(fh), row, None))
+        raise CsvFormatError(line_number, "non-finite field")
+    return LabeledSampleSet(array, np.asarray(labels, dtype=np.int64))
 
 
 def json_dumps(obj) -> str:

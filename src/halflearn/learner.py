@@ -10,7 +10,9 @@ scale and at the target accuracy. Stage 4 scores every candidate on a
 held-out selection slice and returns the minimizer.
 
 Any tester rejection aborts with verdict rejected_non_gaussian and a
-machine-readable stage name.
+machine-readable stage name: the pipeline stage, then the name of the
+tester that rejected (weak_learner.moment_test, round_2.rate_check,
+wedge.candidate_1.tv_check).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from . import verdicts
 from .core import Halfspace, LabeledSampleSet, RunConfig, UnitVector, \
     empirical_error
 from .update import EXPECTED_ACCEPT_MIN, localized_update
-from .weak import DEGENERATE_CHOW
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
 from .weak import weak_proper_learn
 from .wedge import smallest_testable_eta, wedge_bound_test
@@ -99,7 +100,6 @@ class LearnReport:
                 "tau": self.config.tau,
                 "seed": self.config.seed,
                 "k_cap": self.config.k_cap,
-                "c_a": self.config.c_a,
                 "slack_multiplier": self.config.slack_multiplier,
             },
             "stage_slices": {
@@ -187,7 +187,6 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     plan = plan_budget(s.n, epsilon)
     rng = np.random.default_rng(cfg.seed)
 
-    eta_inner = 1.0 / (20000.0 * cfg.c_a**2)
     eta_min = smallest_testable_eta(plan.wedge_slice[1] - plan.wedge_slice[0])
     assert eta_min is not None  # plan_budget guarantees it
 
@@ -211,14 +210,11 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     clock = time.perf_counter()
     weak_slice = s.subset(slice(0, plan.n_weak))
     batch = default_batch_count(s.d, tau_stage, weak_slice.n)
-    outcome = weak_proper_learn(weak_slice, eta_inner, cfg, rng,
-                                batch_count=batch)
+    outcome = weak_proper_learn(weak_slice, cfg, rng, batch_count=batch)
     stage_seconds["weak"] = time.perf_counter() - clock
     if not outcome.learned:
-        stage = ("weak_learner.degenerate_chow"
-                 if outcome.diagnostic == DEGENERATE_CHOW
-                 else "weak_learner.moment_test")
-        return report(verdicts.REJECTED_NON_GAUSSIAN, stage=stage)
+        return report(verdicts.REJECTED_NON_GAUSSIAN,
+                      stage=f"weak_learner.{outcome.rejected_by}")
     assert outcome.direction is not None
     candidates.append(CandidateRecord(0, outcome.direction, round_delta(0),
                                       None))
@@ -230,18 +226,12 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
         consumed += end - start
         round_set = s.subset(slice(start, end))
         batch = default_batch_count(s.d, tau_stage, EXPECTED_ACCEPT_MIN)
-        update = localized_update(round_set, current, round_delta(t),
-                                  eta_inner, cfg, rng, batch_count=batch)
+        update = localized_update(round_set, current, round_delta(t), cfg,
+                                  rng, batch_count=batch)
         if not update.updated:
             stage_seconds["localization"] = time.perf_counter() - clock
-            if update.inner_outcome is None:
-                detail = "rate_check"
-            elif update.inner_outcome.diagnostic == DEGENERATE_CHOW:
-                detail = "degenerate_chow"
-            else:
-                detail = "moment_test"
             return report(verdicts.REJECTED_NON_GAUSSIAN,
-                          stage=f"round_{t}.{detail}")
+                          stage=f"round_{t}.{update.rejected_by}")
         assert update.new_direction is not None
         current = update.new_direction
         candidates.append(CandidateRecord(t + 1, current, round_delta(t + 1),

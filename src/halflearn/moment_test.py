@@ -3,15 +3,13 @@
 Each monomial up to degree k gets a per-monomial tolerance band
 ``slack_multiplier * sqrt(Var[m] / n)``: the scale at which even truly
 Gaussian samples fluctuate, so completeness is testable at realistic
-sample sizes. A strict mode with the theoretical uniform tolerance
-``(1 / (k d^k)) * (1 / (C sqrt(k)))^(k+1)`` is available for conformance
-experiments; it requires the caller to supply the constant C and rejects
-essentially everything at desk-scale n.
+sample sizes. (The theory's uniform tolerance,
+``(1 / (k d^k)) * (1 / (C sqrt(k)))^(k+1)``, is far below sampling noise
+at any feasible n and would reject true Gaussians too.)
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,20 +75,11 @@ def _reference_table(d: int, k: int):
     return monomials, reference, variance
 
 
-def strict_tolerance(k: int, d: int, constant: float) -> float:
-    """Theoretical uniform moment tolerance; vanishing for realistic k, d."""
-    if constant <= 0.0:
-        raise ValueError("constant must be positive")
-    return (1.0 / (k * d**k)) * (1.0 / (constant * math.sqrt(k))) ** (k + 1)
-
-
-def moment_match_test(s: LabeledSampleSet, k: int, cfg: RunConfig,
-                      strict_constant: float | None = None) -> MomentTestReport:
+def moment_match_test(s: LabeledSampleSet, k: int,
+                      cfg: RunConfig) -> MomentTestReport:
     """Certify that all sample moments up to degree k match N(0, I).
 
-    Labels are ignored; the test concerns the x-marginal only. With
-    ``strict_constant`` set, the uniform theoretical tolerance replaces the
-    statistical bands.
+    Labels are ignored; the test concerns the x-marginal only.
     """
     if s.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {s.n}")
@@ -99,11 +88,7 @@ def moment_match_test(s: LabeledSampleSet, k: int, cfg: RunConfig,
 
     monomials, reference, variance = _reference_table(s.d, k)
     empirical = batch_empirical_moments(s.points, monomials)
-    if strict_constant is None:
-        tolerance = cfg.slack_multiplier * np.sqrt(variance / s.n)
-    else:
-        tolerance = np.full(len(monomials),
-                            strict_tolerance(k, s.d, strict_constant))
+    tolerance = cfg.slack_multiplier * np.sqrt(variance / s.n)
 
     violations = [
         (idx, MomentViolation(monomials[idx], float(empirical[idx]),

@@ -12,7 +12,11 @@ from .core import LabeledSampleSet, RunConfig, UnitVector
 from .localize import EmptyLocalizationError, rejection_sample, whiten, \
     unwhiten_direction
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
-from .weak import WeakLearnOutcome, weak_proper_learn
+from .weak import weak_proper_learn
+
+# UpdateOutcome.rejected_by when the acceptance rate is off; a rejection by
+# the inner learner carries that learner's value instead.
+RATE_CHECK = "rate_check"
 
 # Expected accepted count must be twice the inner learner's minimum: any
 # rate passing the [delta/2, 3 delta/2] check then yields at least that
@@ -25,7 +29,7 @@ class UpdateOutcome:
     verdict: str
     new_direction: UnitVector | None
     acceptance_rate: float
-    inner_outcome: WeakLearnOutcome | None  # set once the rate check passed
+    rejected_by: str | None
 
     @property
     def updated(self) -> bool:
@@ -33,8 +37,7 @@ class UpdateOutcome:
 
 
 def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
-                     eta: float, cfg: RunConfig,
-                     rng: np.random.Generator | None = None,
+                     cfg: RunConfig, rng: np.random.Generator | None = None,
                      batch_count: int | None = None) -> UpdateOutcome:
     """Refine v at scale delta, or reject the marginal.
 
@@ -42,9 +45,8 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
     rate concentrates at delta, so a rate outside [delta/2, 3 delta/2] is
     rejection evidence (the interval is taken verbatim; the accepted-count
     precondition keeps binomial noise well inside it). Otherwise the
-    accepted samples are whitened, handed to the weak learner at accuracy
-    eta, and the learned direction is transported back through the inverse
-    map.
+    accepted samples are whitened, handed to the weak learner, and the
+    learned direction is transported back through the inverse map.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
@@ -60,20 +62,20 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
     except EmptyLocalizationError:
         return UpdateOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
                              new_direction=None, acceptance_rate=0.0,
-                             inner_outcome=None)
+                             rejected_by=RATE_CHECK)
     if not delta / 2.0 <= rate <= 3.0 * delta / 2.0:
         return UpdateOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
                              new_direction=None, acceptance_rate=rate,
-                             inner_outcome=None)
+                             rejected_by=RATE_CHECK)
 
-    inner = weak_proper_learn(whiten(accepted, v, delta), eta, cfg, rng,
+    inner = weak_proper_learn(whiten(accepted, v, delta), cfg, rng,
                               batch_count=batch_count)
     if not inner.learned:
         return UpdateOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
                              new_direction=None, acceptance_rate=rate,
-                             inner_outcome=inner)
+                             rejected_by=inner.rejected_by)
     assert inner.direction is not None
     return UpdateOutcome(verdict=verdicts.UPDATED,
                          new_direction=unwhiten_direction(inner.direction, v,
                                                           delta),
-                         acceptance_rate=rate, inner_outcome=inner)
+                         acceptance_rate=rate, rejected_by=None)

@@ -2,14 +2,14 @@
 estimate.
 
 Either rejects the x-marginal as non-Gaussian or returns a unit vector
-within O(sqrt(opt + eta)) of the best halfspace's normal. The returned
+within O(sqrt(opt + eta)) of the best halfspace's normal, where eta is the
+moment-matching accuracy that degree cfg.k_cap certifies. The returned
 direction only needs small constant accuracy; the localization loop does
 the rest.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,9 @@ from .moment_test import MomentTestReport, moment_match_test
 
 MIN_SAMPLES = 1000
 
-DEGENERATE_CHOW = "degenerate-chow-direction"
+# Values of WeakLearnOutcome.rejected_by.
+MOMENT_TEST = "moment_test"
+DEGENERATE_CHOW = "degenerate_chow"
 
 
 @dataclass(frozen=True)
@@ -30,44 +32,34 @@ class WeakLearnOutcome:
     verdict: str
     direction: UnitVector | None
     moment_report: MomentTestReport
-    diagnostic: str | None = None
+    rejected_by: str | None  # MOMENT_TEST or DEGENERATE_CHOW
 
     @property
     def learned(self) -> bool:
         return self.verdict == verdicts.LEARNED
 
 
-def implied_moment_degree(eta: float) -> int:
-    """Matching degree suggested by the accuracy target: log(1/eta)/eta^2."""
-    implied = math.log(1.0 / eta) / (eta * eta)
-    if implied >= 64:  # far above any usable cap; avoid huge ints
-        return 64
-    return max(1, math.ceil(implied))
-
-
-def weak_proper_learn(s: LabeledSampleSet, eta: float, cfg: RunConfig,
+def weak_proper_learn(s: LabeledSampleSet, cfg: RunConfig,
                       rng: np.random.Generator | None = None,
                       batch_count: int | None = None) -> WeakLearnOutcome:
     """Moment certification followed by a normalized robust Chow estimate.
 
-    The matching degree is min(cfg.k_cap, implied_moment_degree(eta)); a
-    rejection short-circuits before any Chow estimation. A Chow vector with
-    norm at the degeneracy floor is itself rejection evidence: an actual
-    halfspace problem under Gaussian marginals yields norm near
-    sqrt(2/pi) (shrunk by label noise), far above the floor.
+    Moments are matched up to degree cfg.k_cap; a rejection short-circuits
+    before any Chow estimation. A Chow vector with norm at the degeneracy
+    floor is itself rejection evidence: an actual halfspace problem under
+    Gaussian marginals yields norm near sqrt(2/pi) (shrunk by label noise),
+    far above the floor.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
     if s.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {s.n}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    k = min(cfg.k_cap, implied_moment_degree(eta))
-    report = moment_match_test(s, k, cfg)
+    report = moment_match_test(s, cfg.k_cap, cfg)
     if not report.certified:
         return WeakLearnOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
-                                direction=None, moment_report=report)
+                                direction=None, moment_report=report,
+                                rejected_by=MOMENT_TEST)
 
     if batch_count is None:
         batch_count = default_batch_count(s.d, cfg.tau, s.n)
@@ -75,7 +67,7 @@ def weak_proper_learn(s: LabeledSampleSet, eta: float, cfg: RunConfig,
     if float(np.linalg.norm(estimate.vector)) <= NORM_FLOOR:
         return WeakLearnOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
                                 direction=None, moment_report=report,
-                                diagnostic=DEGENERATE_CHOW)
+                                rejected_by=DEGENERATE_CHOW)
     return WeakLearnOutcome(verdict=verdicts.LEARNED,
                             direction=normalize(estimate.vector),
-                            moment_report=report)
+                            moment_report=report, rejected_by=None)

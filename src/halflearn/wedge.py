@@ -83,22 +83,6 @@ def _as_points(points: np.ndarray, v: UnitVector) -> np.ndarray:
     return points
 
 
-def _assign_bins(points: np.ndarray, v: UnitVector, eta: float):
-    """Bin index per point, offset so bins run 0 .. 2B+2.
-
-    Interior bin i holds v.x in [i eta, (i+1) eta); offsets 0 and 2B+2 are
-    the lower/upper tails |v.x| >= T.
-    """
-    margins = points @ v.coords
-    b = slab_band_count(eta)
-    t = tail_threshold(eta)
-    idx = np.floor(margins / eta).astype(np.int64)
-    np.clip(idx, -b - 1, b + 1, out=idx)
-    idx[margins >= t] = b + 1
-    idx[margins <= -t] = -b - 1
-    return idx + b + 1, b, t, margins
-
-
 def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
@@ -128,15 +112,6 @@ class SlabDecomposition:
     slab_masses: np.ndarray        # empirical bin probabilities, sum to 1
     reference_masses: np.ndarray   # standard-Gaussian bin probabilities
 
-    def to_json_dict(self) -> dict:
-        return {
-            "v": self.v.coords.tolist(),
-            "eta": self.eta,
-            "b": self.b,
-            "slab_masses": self.slab_masses.tolist(),
-            "reference_masses": self.reference_masses.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class WedgeVerdict:
@@ -151,29 +126,36 @@ class WedgeVerdict:
     def certified(self) -> bool:
         return self.verdict == verdicts.CERTIFIED
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "failed_check": self.failed_check,
-            "failed_slab_index": self.failed_slab_index,
-            "tv_discrepancy": self.tv_discrepancy,
-            "worst_slab_eigenvalue": self.worst_slab_eigenvalue,
-            "decomposition": self.decomposition.to_json_dict(),
-        }
+
+def _decompose(points: np.ndarray, v: UnitVector, eta: float):
+    """Slab decomposition of checked points, with each point's bin offset
+    and margin v.x.
+
+    Interior bin i holds v.x in [i eta, (i+1) eta) at offset i + B + 1;
+    offsets 0 and 2B+2 are the lower/upper tails |v.x| >= T.
+    """
+    margins = points @ v.coords
+    b = slab_band_count(eta)
+    t = tail_threshold(eta)
+    idx = np.floor(margins / eta).astype(np.int64)
+    np.clip(idx, -b - 1, b + 1, out=idx)
+    idx[margins >= t] = b + 1
+    idx[margins <= -t] = -b - 1
+    bins = idx + b + 1
+    counts = np.bincount(bins, minlength=2 * b + 3)
+    decomposition = SlabDecomposition(
+        v=v, eta=eta, b=b,
+        slab_masses=counts / points.shape[0],
+        reference_masses=_reference_masses(eta, b, t),
+    )
+    return decomposition, bins, margins
 
 
 def decompose_slabs(points: np.ndarray, v: UnitVector,
                     eta: float) -> SlabDecomposition:
     """Empirical and reference slab masses along v at width eta."""
     _check_eta(eta)
-    points = _as_points(points, v)
-    bins, b, t, _ = _assign_bins(points, v, eta)
-    counts = np.bincount(bins, minlength=2 * b + 3)
-    return SlabDecomposition(
-        v=v, eta=eta, b=b,
-        slab_masses=counts / points.shape[0],
-        reference_masses=_reference_masses(eta, b, t),
-    )
+    return _decompose(_as_points(points, v), v, eta)[0]
 
 
 def wedge_bound_test(points: np.ndarray, v: UnitVector, eta: float,
@@ -195,14 +177,8 @@ def wedge_bound_test(points: np.ndarray, v: UnitVector, eta: float,
         raise ValueError(f"need at least {needed} samples at eta={eta}, "
                          f"got {n}")
 
-    bins, b, t, margins = _assign_bins(points, v, eta)
-    counts = np.bincount(bins, minlength=2 * b + 3)
-    decomposition = SlabDecomposition(
-        v=v, eta=eta, b=b,
-        slab_masses=counts / n,
-        reference_masses=_reference_masses(eta, b, t),
-    )
-
+    decomposition, bins, margins = _decompose(points, v, eta)
+    b = decomposition.b
     tv = float(np.abs(decomposition.slab_masses
                       - decomposition.reference_masses).sum())
     allowance = cfg.slack_multiplier * math.sqrt((2 * b + 3) / n)

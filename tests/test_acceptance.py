@@ -12,16 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from halflearn import (Halfspace, LabeledSampleSet, LocalizationTransform,
-                       RunConfig, UnitVector, check_unwhitening_error_bound,
-                       empirical_error, enumerate_monomials, estimate_chow,
-                       gaussian_moment, normalize, predict_batch,
-                       random_unit_vector, rejection_sample, testable_learn,
-                       unwhiten_direction, verify_wedge_certificate,
-                       wedge_bound_test)
-from halflearn.chow import default_batch_count
+from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
+                       empirical_error, random_unit_vector, testable_learn)
+from halflearn.chow import default_batch_count, estimate_chow
+from halflearn.core import normalize, predict_batch
+from halflearn.localize import (LocalizationTransform,
+                                check_unwhitening_error_bound,
+                                rejection_sample, unwhiten_direction)
+from halflearn.moments import enumerate_monomials, gaussian_moment
 from halflearn.datagen import MarginalFamily, generate, make_noise
 from halflearn.io import json_dumps
+from halflearn.wedge import verify_wedge_certificate, wedge_bound_test
 
 ROOT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from halflearn import (Halfspace, LabeledSampleSet, UnitVector, estimate_chow,
-                       predict_batch)
-from halflearn.chow import default_batch_count
+from halflearn import Halfspace, LabeledSampleSet, UnitVector
+from halflearn.chow import default_batch_count, estimate_chow
+from halflearn.core import predict_batch
 
 from conftest import basis_vector
 

@@ -98,6 +98,21 @@ class TestLearn:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_field_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1.0,2.0,1\n\nnan,0.5,-1\n")
+        code = run(["learn", "--in", str(bad), "--out",
+                    str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad.csv: line 3: non-finite field" in err
+
+    def test_c_a_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["learn", "--in", str(tmp_path / "x.csv"), "--out",
+                 str(tmp_path / "r.json"), "--c-a", "2.0"])
+        assert excinfo.value.code == 2
+
     def test_missing_file_exits_one(self, tmp_path):
         code = run(["learn", "--in", str(tmp_path / "nope.csv"), "--out",
                     str(tmp_path / "r.json")])
@@ -140,10 +155,14 @@ class TestExperiment:
         assert by_marginal["rademacher"] == {"rejected_non_gaussian"}
         assert "accept_rate" in capsys.readouterr().out
 
-    def test_bad_spec_exits_one(self, tmp_path):
+    def test_bad_spec_exits_one(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text("{not json")
-        assert run(["experiment", "--spec", str(spec_path)]) == 1
+        for text in ["{not json", "[]", '{"grid": {}, "seeds": 3}',
+                     '{"grid": 5, "seeds": [1]}', '{"grid": {}, "seeds": []}',
+                     '{"grid": {}, "seeds": [1, "a"]}']:
+            spec_path.write_text(text)
+            assert run(["experiment", "--spec", str(spec_path)]) == 1, text
+            assert "error: bad experiment spec: " in capsys.readouterr().err
 
     def test_crashing_cells_recorded_and_counted(self, tmp_path):
         # 3-cell grid x 5 seeds -> 15 rows + header even though every run

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from halflearn import (DegenerateVectorError, Halfspace, LabeledSampleSet,
-                       RunConfig, UnitVector, empirical_error, normalize,
-                       predict, predict_batch)
+from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
+                       empirical_error)
+from halflearn.core import (DegenerateVectorError, normalize, predict,
+                            predict_batch)
 
 from conftest import basis_vector
 
@@ -132,7 +133,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0}, {"epsilon": 1.0}, {"tau": 0.0}, {"k_cap": 1},
-        {"c_a": 0.0}, {"slack_multiplier": 0.0}, {"seed": -1},
+        {"tau": 1.0}, {"slack_multiplier": 0.0}, {"seed": -1},
     ])
     def test_rejects_out_of_range(self, kwargs):
         base = {"epsilon": 0.05, "tau": 0.05, "seed": 0}

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from halflearn import (Halfspace, RunConfig, UnitVector, empirical_error,
-                       moment_match_test, predict_batch, random_unit_vector)
+                       random_unit_vector)
+from halflearn.core import predict_batch
 from halflearn.datagen import (MarginalFamily, NoiseModel, generate,
                                make_noise)
+from halflearn.moment_test import moment_match_test
 
 from conftest import basis_vector
 

@@ -57,6 +57,14 @@ class TestCsvErrors:
             read_samples_csv(path)
         assert excinfo.value.line_number == 1
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_field(self, tmp_path, field):
+        path = tmp_path / "s.csv"
+        path.write_text(f"x1,x2,y\n1.0,2.0,1\n\n0.5,{field},-1\n")
+        with pytest.raises(CsvFormatError, match="non-finite") as excinfo:
+            read_samples_csv(path)
+        assert excinfo.value.line_number == 4
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("")

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from conftest import stdout_with_blas_threads
+from conftest import basis_vector, stdout_with_blas_threads
 
-from halflearn import (Halfspace, RunConfig, empirical_error,
-                       random_unit_vector, testable_learn)
+from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
+                       empirical_error, random_unit_vector, testable_learn)
+from halflearn import weak
+from halflearn.chow import ChowEstimate
+from halflearn.core import predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate, make_noise
 from halflearn.io import json_dumps
 from halflearn.learner import max_rounds, plan_budget, round_raw_size
@@ -90,6 +93,95 @@ class TestEndToEnd:
         chosen = min(range(len(errors)), key=lambda i: (errors[i], i))
         assert np.array_equal(best,
                               report.candidates[chosen].direction.coords)
+
+
+# Smallest budget with one localization round: rows 85k-285k feed round 0,
+# rows 289k-323k the wedge tests.
+STAGE_N = 340_000
+
+
+def _round_rows(plan):
+    return slice(*plan.round_slices[0])
+
+
+def _wedge_rows(plan):
+    return slice(*plan.wedge_slice)
+
+
+def _uniform_round_margin(points, plan, rng):
+    # Acceptance rate about 0.42 delta, below the delta/2 floor.
+    rows = _round_rows(plan)
+    points[rows, 0] = rng.uniform(-3.0, 3.0, size=points[rows].shape[0])
+
+
+def _sign_round_orthogonals(points, plan, rng):
+    # Survives the rate check; whitened fourth moments are 1, not 3.
+    rows = _round_rows(plan)
+    points[rows, 1:] = rng.choice([-1.0, 1.0], size=points[rows, 1:].shape)
+
+
+def _shift_wedge_margin(points, plan, rng):
+    points[_wedge_rows(plan), 0] += 3.0
+
+
+def _widen_wedge_orthogonals(points, plan, rng):
+    # Slab masses stay Gaussian; second moments off v are 4 > 2.
+    points[_wedge_rows(plan), 1:] *= 2.0
+
+
+def staged(edit=None):
+    """Clean Gaussian samples at d = 3 labeled by e_1, with one stage's rows
+    edited."""
+    v = UnitVector(basis_vector(3, 0))
+    points = np.array(generate(3, STAGE_N, MarginalFamily("gaussian"), v,
+                               NoiseModel("clean"), 0).points)
+    if edit is not None:
+        edit(points, plan_budget(STAGE_N, 0.05), np.random.default_rng(0))
+    return LabeledSampleSet(points, predict_batch(Halfspace(v), points))
+
+
+class TestRejectionStage:
+    """Every stage string a report can carry, from the tester that
+    rejected."""
+
+    @pytest.mark.parametrize("edit, stage", [
+        pytest.param(edit, stage, id=stage) for edit, stage in [
+            (_uniform_round_margin, "round_0.rate_check"),
+            (_sign_round_orthogonals, "round_0.moment_test"),
+            (_shift_wedge_margin, "wedge.candidate_0.tv_check"),
+            (_widen_wedge_orthogonals,
+             "wedge.candidate_0.slab_moment_check"),
+        ]])
+    def test_edited_stage_rows(self, edit, stage):
+        report = testable_learn(staged(edit), 0.05, 0.05, cfg())
+        assert report.verdict == "rejected_non_gaussian"
+        assert report.rejection_stage == stage
+        assert report.hypothesis is None
+
+    @pytest.mark.parametrize("zero_call, stage", [
+        pytest.param(1, "weak_learner.degenerate_chow", id="weak_learner"),
+        pytest.param(2, "round_0.degenerate_chow", id="round_0"),
+    ])
+    def test_degenerate_chow(self, monkeypatch, zero_call, stage):
+        # Chow call number zero_call (the weak stage's is 1) returns an
+        # all-zero vector; every other call is the real estimate.
+        real = weak.estimate_chow
+        calls = []
+
+        def chow(s, batch_count, rng=None):
+            calls.append(s.n)
+            if len(calls) == zero_call:
+                return ChowEstimate(np.zeros(s.d), batch_count,
+                                    np.zeros(s.d))
+            return real(s, batch_count, rng)
+
+        monkeypatch.setattr(weak, "estimate_chow", chow)
+        report = testable_learn(staged(), 0.05, 0.05, cfg())
+        assert report.rejection_stage == stage
+        assert len(calls) == zero_call
+
+    def test_unedited_rows_learn(self):
+        assert testable_learn(staged(), 0.05, 0.05, cfg()).learned
 
 
 class TestDeterminism:

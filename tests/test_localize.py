@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from halflearn import (LabeledSampleSet, LocalizationTransform, UnitVector,
-                       acceptance_probabilities, check_unwhitening_error_bound,
-                       normalize, rejection_sample, unwhiten_direction, whiten)
-from halflearn.localize import EmptyLocalizationError
+from halflearn import LabeledSampleSet, UnitVector
+from halflearn.core import normalize
+from halflearn.localize import (EmptyLocalizationError,
+                                LocalizationTransform,
+                                acceptance_probabilities,
+                                check_unwhitening_error_bound,
+                                rejection_sample, unwhiten_direction, whiten)
 
 from conftest import basis_vector
 
@@ -96,7 +99,8 @@ class TestWhiten:
     def test_whitened_localized_gaussian_is_standard(self):
         # Localize at sigma = 0.2 then whiten: moments up to degree 4 match
         # N(0, I) again.
-        from halflearn import RunConfig, moment_match_test
+        from halflearn import RunConfig
+        from halflearn.moment_test import moment_match_test
         cfg = RunConfig(epsilon=0.05, tau=0.05, seed=0)
         v = unit(basis_vector(4, 0))
         hits_k2 = hits_k4 = 0

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from halflearn import LabeledSampleSet, RunConfig, moment_match_test
+from halflearn import LabeledSampleSet, RunConfig
 from halflearn.io import json_dumps
-from halflearn.moment_test import strict_tolerance
+from halflearn.moment_test import moment_match_test
 
 
 def cfg(slack=6.0):
@@ -88,16 +88,3 @@ class TestContract:
         assert {"monomial", "empirical", "reference", "tolerance"} <= \
             set(payload["violations"][0])
 
-
-class TestStrictMode:
-    def test_tolerance_is_tiny(self):
-        # The theoretical band is far below sampling noise at desk scale,
-        # so even genuinely Gaussian data gets rejected.
-        assert strict_tolerance(4, 8, 1.0) < 1e-5
-        report = moment_match_test(gaussian_set(100_000, 8, 0), 4, cfg(),
-                                   strict_constant=1.0)
-        assert not report.certified
-
-    def test_requires_positive_constant(self):
-        with pytest.raises(ValueError):
-            strict_tolerance(4, 8, 0.0)

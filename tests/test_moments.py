@@ -9,10 +9,10 @@ from conftest import stdout_with_blas_threads
 from hypothesis import given
 from hypothesis import strategies as st
 
-from halflearn import (LabeledSampleSet, MonomialExponent,
-                       batch_empirical_moments, empirical_moment,
-                       enumerate_monomials, gaussian_moment,
-                       gaussian_moment_variance)
+from halflearn import LabeledSampleSet
+from halflearn.moments import (MonomialExponent, batch_empirical_moments,
+                               empirical_moment, enumerate_monomials,
+                               gaussian_moment, gaussian_moment_variance)
 from halflearn import moments
 
 EPS = np.finfo(np.float64).eps
@@ -212,7 +212,7 @@ class TestGramEngine:
         # 231 columns at d = 20, k = 4, and a partial last block.
         script = (
             "import sys, numpy as np\n"
-            "from halflearn import batch_empirical_moments, "
+            "from halflearn.moments import batch_empirical_moments, "
             "enumerate_monomials\n"
             "points = np.random.default_rng(5).standard_normal((30_001, 20))\n"
             "sys.stdout.buffer.write(batch_empirical_moments(\n"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from halflearn import (RunConfig, UnitVector, decompose_slabs, normalize,
-                       verify_wedge_certificate, wedge_bound_test)
-from halflearn.wedge import (min_sample_count, slab_band_count,
-                             smallest_testable_eta, tail_threshold)
+from halflearn import RunConfig, UnitVector
+from halflearn.core import normalize
+from halflearn.wedge import (decompose_slabs, min_sample_count,
+                             slab_band_count, smallest_testable_eta,
+                             tail_threshold, verify_wedge_certificate,
+                             wedge_bound_test)
 
 from conftest import basis_vector
 
