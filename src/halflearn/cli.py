@@ -79,7 +79,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    cfg = _config(args)
+    try:
+        cfg = _config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         samples = read_samples_csv(args.input)
         digest = file_sha256(args.input)

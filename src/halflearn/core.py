@@ -15,6 +15,10 @@ NORM_FLOOR = 1e-12
 
 _UNIT_TOL = 1e-9
 
+# Highest moment degree with exact Gaussian moments (double factorials
+# stay exact in int64 and float64 up to here).
+MAX_MOMENT_DEGREE = 20
+
 
 class DegenerateVectorError(ValueError):
     """Vector norm is at or below the normalization floor."""
@@ -127,8 +131,8 @@ class RunConfig:
             raise ValueError("tau must lie in (0, 1)")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in uint64")
-        if int(self.k_cap) < 2:
-            raise ValueError("k_cap must be at least 2")
+        if not 2 <= int(self.k_cap) <= MAX_MOMENT_DEGREE:
+            raise ValueError(f"k_cap must lie in [2, {MAX_MOMENT_DEGREE}]")
         if not self.slack_multiplier > 0.0:
             raise ValueError("slack_multiplier must be positive")
 

@@ -8,8 +8,8 @@ row ``x1,...,xd,y`` is accepted on read.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,27 +42,47 @@ def write_samples_csv(path: str | Path, s: LabeledSampleSet,
                      + f",{int(label)}\n")
 
 
-def _data_rows(fh):
-    """(line number, fields) of every sample row: blank lines and a header
-    on line 1 are skipped."""
-    for line_number, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if line_number == 1 and _is_header(fields):
-            continue
-        yield line_number, fields
-
-
 def read_samples_csv(path: str | Path) -> LabeledSampleSet:
-    """Parse a sample CSV; raises CsvFormatError naming the first bad line."""
+    """Parse a sample CSV; raises CsvFormatError naming the first bad line.
+
+    One ``np.loadtxt`` pass reads a well-formed file. A file it refuses,
+    or whose table fails a check, goes to the row-by-row parser, which
+    accepts whatever ``float()`` accepts (``1_0``, say) and names the
+    first bad line.
+    """
     path = Path(path)
+    with path.open("r") as fh:
+        first = fh.readline().strip()
+        header = _is_header(first.split(","))
+        # loadtxt warns on a file without rows; only the row parser sees one.
+        has_rows = (bool(first) and not header) or any(
+            line.strip() for line in fh)
+    if has_rows:
+        try:
+            table = np.loadtxt(path, dtype=np.float64, delimiter=",",
+                               comments=None, skiprows=int(header), ndmin=2)
+        except ValueError:
+            return _read_rows(path)
+        labels = table[:, -1]
+        if (table.shape[1] >= 3 and np.isfinite(table).all()
+                and ((labels == 1.0) | (labels == -1.0)).all()):
+            return LabeledSampleSet(table[:, :-1], labels.astype(np.int64))
+    return _read_rows(path)
+
+
+def _read_rows(path: Path) -> LabeledSampleSet:
+    """Row-by-row parser: blank lines and a header on line 1 are skipped."""
     points: list[list[float]] = []
     labels: list[int] = []
     d: int | None = None
     with path.open("r") as fh:
-        for line_number, fields in _data_rows(fh):
+        for line_number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if line_number == 1 and _is_header(fields):
+                continue
             if d is None:
                 if len(fields) < 3:
                     raise CsvFormatError(line_number,
@@ -81,19 +101,15 @@ def read_samples_csv(path: str | Path) -> LabeledSampleSet:
             if label not in (-1.0, 1.0):
                 raise CsvFormatError(line_number,
                                      f"label must be -1 or 1, got {fields[-1]}")
+            # float() accepts nan, inf and overflows such as 1e999.
+            if not all(map(math.isfinite, coords)):
+                raise CsvFormatError(line_number, "non-finite field")
             points.append(coords)
             labels.append(int(label))
     if not points:
         raise CsvFormatError(1, "no samples in file")
-    array = np.asarray(points, dtype=np.float64)
-    if not np.isfinite(array).all():
-        # float() accepts nan, inf and overflows such as 1e999; find the
-        # first such row's line by reading the file again.
-        row = int(np.argmin(np.isfinite(array).all(axis=1)))
-        with path.open("r") as fh:
-            line_number, _ = next(itertools.islice(_data_rows(fh), row, None))
-        raise CsvFormatError(line_number, "non-finite field")
-    return LabeledSampleSet(array, np.asarray(labels, dtype=np.int64))
+    return LabeledSampleSet(np.asarray(points, dtype=np.float64),
+                            np.asarray(labels, dtype=np.int64))
 
 
 def json_dumps(obj) -> str:

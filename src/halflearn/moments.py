@@ -16,10 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabeledSampleSet
-
-# Exact double factorials stay inside int64/float64 comfort up to here.
-MAX_MOMENT_DEGREE = 20
+from .core import MAX_MOMENT_DEGREE, LabeledSampleSet
 
 # Doubles per block of the monomial table (4 MB). Rows per block follow
 # from the table's width alone, so the summation order, and with it every

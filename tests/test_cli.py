@@ -113,6 +113,16 @@ class TestLearn:
                  str(tmp_path / "r.json"), "--c-a", "2.0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--k-cap", "21"], ["--epsilon", "2"]])
+    def test_out_of_range_flag_exits_two_before_reading(self, tmp_path,
+                                                         capsys, flags):
+        # The input does not exist, so exit 2 shows it was never opened.
+        code = run(["learn", "--in", str(tmp_path / "nope.csv"), "--out",
+                    str(tmp_path / "r.json"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_file_exits_one(self, tmp_path):
         code = run(["learn", "--in", str(tmp_path / "nope.csv"), "--out",
                     str(tmp_path / "r.json")])

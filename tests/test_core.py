@@ -133,7 +133,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0}, {"epsilon": 1.0}, {"tau": 0.0}, {"k_cap": 1},
-        {"tau": 1.0}, {"slack_multiplier": 0.0}, {"seed": -1},
+        {"tau": 1.0}, {"slack_multiplier": 0.0}, {"seed": -1}, {"k_cap": 21},
     ])
     def test_rejects_out_of_range(self, kwargs):
         base = {"epsilon": 0.05, "tau": 0.05, "seed": 0}

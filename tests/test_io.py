@@ -1,14 +1,44 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from halflearn import LabeledSampleSet
+from halflearn import LabeledSampleSet, io
 from halflearn.io import (CsvFormatError, file_sha256, json_dumps,
                           read_samples_csv, write_samples_csv)
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def sample_set(rng, n=50, d=3):
     return LabeledSampleSet(rng.standard_normal((n, d)),
                             rng.choice([-1, 1], size=n))
+
+
+@st.composite
+def sample_sets(draw):
+    """Any finite float64 points (subnormals, signed zeros, +-max
+    included), d in [2, 12], labels in {-1, 1}."""
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 8))
+    points = draw(arrays(np.float64, (n, d),
+                         elements=st.floats(allow_nan=False,
+                                            allow_infinity=False)))
+    labels = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    return LabeledSampleSet(points, labels)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "samples.csv"
+
+
+def same_bytes(a: LabeledSampleSet, b: LabeledSampleSet) -> bool:
+    return (a.points.tobytes() == b.points.tobytes()
+            and a.labels.tobytes() == b.labels.tobytes())
 
 
 class TestCsvRoundTrip:
@@ -34,6 +64,50 @@ class TestCsvRoundTrip:
         back = read_samples_csv(path)
         assert list(back.labels) == [1, -1]
 
+    @given(s=sample_sets(), header=st.booleans())
+    @example(s=LabeledSampleSet(
+        np.array([[5e-324, -0.0], [FLOAT_MAX, -FLOAT_MAX],
+                  [0.0, -2.2250738585072014e-308]]), np.array([1, -1, 1])),
+        header=False)
+    def test_bit_exact_round_trip(self, csv_path, s, header):
+        write_samples_csv(csv_path, s, header=header)
+        assert same_bytes(read_samples_csv(csv_path), s)
+        assert same_bytes(io._read_rows(csv_path), s)
+
+    def test_float_syntax_outside_loadtxt_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1_0,2.0,1\n-1.0,0.5,-1\n")
+        back = read_samples_csv(path)
+        assert back.points.tolist() == [[10.0, 2.0], [-1.0, 0.5]]
+
+    def test_loadtxt_and_row_parser_agree(self, rng, tmp_path, monkeypatch):
+        s = sample_set(rng, n=200, d=4)
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, s, header=True)
+        lines = path.read_text().splitlines()
+        lines.insert(50, "")
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "_read_rows", refuse)
+            fast = read_samples_csv(path)
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        rows = read_samples_csv(path)
+        assert same_bytes(fast, s)
+        assert same_bytes(rows, s)
+
+
+@pytest.fixture(scope="module")
+def long_csv_text(tmp_path_factory):
+    """A header and 100,000 good rows at d=3."""
+    rng = np.random.default_rng(99)
+    path = tmp_path_factory.mktemp("long") / "good.csv"
+    write_samples_csv(path, sample_set(rng, n=100_000, d=3), header=True)
+    return path.read_text()
+
 
 class TestCsvErrors:
     def test_bad_line_number_reported(self, tmp_path):
@@ -49,6 +123,13 @@ class TestCsvErrors:
         with pytest.raises(CsvFormatError) as excinfo:
             read_samples_csv(path)
         assert excinfo.value.line_number == 2
+
+    def test_one_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1.0,1\n2.0,-1\n")
+        with pytest.raises(CsvFormatError, match="two coordinates") as excinfo:
+            read_samples_csv(path)
+        assert excinfo.value.line_number == 1
 
     def test_label_outside_domain(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -67,9 +148,46 @@ class TestCsvErrors:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
-        path.write_text("")
-        with pytest.raises(CsvFormatError):
+        for text in ["", "x1,x2,y\n", "\n  \n"]:
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CsvFormatError, match="no samples"):
+                    read_samples_csv(path)
+
+    def test_first_bad_line_reported(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1.0,2.0,1\n1.0,nan,1\n1.0,2.0,5\n")
+        with pytest.raises(CsvFormatError, match="non-finite") as excinfo:
             read_samples_csv(path)
+        assert excinfo.value.line_number == 2
+
+    @given(s=sample_sets(), header=st.booleans(), data=st.data())
+    def test_non_finite_row_names_its_line(self, csv_path, s, header, data):
+        write_samples_csv(csv_path, s, header=header)
+        lines = csv_path.read_text().splitlines()
+        row = data.draw(st.integers(0, s.n - 1))
+        column = data.draw(st.integers(0, s.d))
+        fields = lines[header + row].split(",")
+        fields[column] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        lines[header + row] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError) as excinfo:
+            read_samples_csv(csv_path)
+        assert excinfo.value.line_number == header + row + 1
+
+    @pytest.mark.parametrize("last, message", [
+        ("0.5,0.5,0.5,0", "label must be -1 or 1, got 0"),
+        ("0.5,inf,0.5,1", "non-finite field"),
+        ("0.5,0.5,0.5,1,1", "expected 4 fields, got 5"),
+    ])
+    def test_bad_last_line_of_long_file(self, long_csv_text, tmp_path, last,
+                                        message):
+        path = tmp_path / "s.csv"
+        path.write_text(long_csv_text + last + "\n")
+        with pytest.raises(CsvFormatError) as excinfo:
+            read_samples_csv(path)
+        assert str(excinfo.value) == f"line 100002: {message}"
 
 
 class TestJson:
