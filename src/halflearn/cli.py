@@ -47,22 +47,21 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-cap", type=int, default=4)
-    p.add_argument("--slack", type=float, default=6.0)
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(epsilon=args.epsilon, tau=args.tau, seed=args.seed,
-                     k_cap=args.k_cap, slack_multiplier=args.slack)
 
 
 def cmd_generate(args) -> int:
-    marginal = parse_marginal(args.marginal, axis=args.scale_axis,
-                              factor=args.scale_factor, dof=args.t_dof,
-                              separation=args.mixture_separation)
-    noise = make_noise(args.noise, args.opt)
-    v_star = random_unit_vector(args.d, np.random.default_rng(
-        np.random.SeedSequence([int(args.seed), 0xA5])))
-    s = generate(args.d, args.n, marginal, v_star, noise, args.seed)
+    # Every ValueError before the files are written comes from a flag.
+    try:
+        marginal = parse_marginal(args.marginal, axis=args.scale_axis,
+                                  factor=args.scale_factor, dof=args.t_dof,
+                                  separation=args.mixture_separation)
+        noise = make_noise(args.noise, args.opt)
+        v_star = random_unit_vector(args.d, np.random.default_rng(
+            np.random.SeedSequence([args.seed, 0xA5])))
+        s = generate(args.d, args.n, marginal, v_star, noise, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_samples_csv(out.with_suffix(".csv"), s, header=args.header)
@@ -80,7 +79,8 @@ def cmd_generate(args) -> int:
 
 def cmd_learn(args) -> int:
     try:
-        cfg = _config(args)
+        cfg = RunConfig(epsilon=args.epsilon, tau=args.tau, seed=args.seed,
+                        k_cap=args.k_cap)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,6 +6,7 @@ read-only across threads; the operations are pure functions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,10 @@ _UNIT_TOL = 1e-9
 # Highest moment degree with exact Gaussian moments (double factorials
 # stay exact in int64 and float64 up to here).
 MAX_MOMENT_DEGREE = 20
+
+# Width of every tester tolerance, in z-score units: each moment band is
+# SLACK * sqrt(Var[m] / n) and the wedge TV allowance SLACK * sqrt(bins / n).
+SLACK = 6.0
 
 
 class DegenerateVectorError(ValueError):
@@ -112,29 +117,26 @@ class LabeledSampleSet:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the testers and the full learner.
-
-    k_cap is the degree of the moment test; slack_multiplier scales every
-    statistical tolerance band (z-score units).
-    """
+    """Knobs of the full learner; k_cap is the degree of the moment test."""
 
     epsilon: float
     tau: float
     seed: int
     k_cap: int = 4
-    slack_multiplier: float = 6.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in uint64")
-        if not 2 <= int(self.k_cap) <= MAX_MOMENT_DEGREE:
-            raise ValueError(f"k_cap must lie in [2, {MAX_MOMENT_DEGREE}]")
-        if not self.slack_multiplier > 0.0:
-            raise ValueError("slack_multiplier must be positive")
+        # numbers.Integral admits NumPy integers and refuses 1.5.
+        if not (isinstance(self.seed, numbers.Integral)
+                and 0 <= self.seed < 2**64):
+            raise ValueError("seed must be an integer in [0, 2^64)")
+        if not (isinstance(self.k_cap, numbers.Integral)
+                and 2 <= self.k_cap <= MAX_MOMENT_DEGREE):
+            raise ValueError(
+                f"k_cap must be an integer in [2, {MAX_MOMENT_DEGREE}]")
 
 
 def predict(h: Halfspace, x: np.ndarray) -> int:
@@ -171,6 +173,8 @@ def normalize(v: np.ndarray) -> UnitVector:
 
 def random_unit_vector(d: int, rng: np.random.Generator) -> UnitVector:
     """Uniformly random direction on the unit sphere in R^d."""
+    if d < 2:  # at d = 0 the loop below would never end
+        raise ValueError("dimension must be at least 2")
     while True:
         g = rng.standard_normal(d)
         if np.linalg.norm(g) > NORM_FLOOR:

@@ -62,10 +62,9 @@ class BudgetPlan:
 
 @dataclass(frozen=True)
 class LearnReport:
-    verdict: str
     hypothesis: Halfspace | None
     candidates: tuple[CandidateRecord, ...]
-    rejection_stage: str | None
+    rejection_stage: str | None    # None exactly when learned
     samples_consumed: int
     seed: int
     config: RunConfig
@@ -76,7 +75,12 @@ class LearnReport:
 
     @property
     def learned(self) -> bool:
-        return self.verdict == verdicts.LEARNED
+        return self.rejection_stage is None
+
+    @property
+    def verdict(self) -> str:
+        return (verdicts.LEARNED if self.learned
+                else verdicts.REJECTED_NON_GAUSSIAN)
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,7 +104,6 @@ class LearnReport:
                 "tau": self.config.tau,
                 "seed": self.config.seed,
                 "k_cap": self.config.k_cap,
-                "slack_multiplier": self.config.slack_multiplier,
             },
             "stage_slices": {
                 "weak": [0, self.plan.n_weak],
@@ -178,12 +181,13 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     Returns a report that either carries a hypothesis halfspace (the
     candidate with the smallest held-out empirical error, ties to the
     earliest round) or names the tester stage that rejected the marginal.
+    epsilon and tau must equal cfg.epsilon and cfg.tau.
     """
+    if (epsilon, tau) != (cfg.epsilon, cfg.tau):
+        raise ValueError(f"epsilon, tau = {epsilon!r}, {tau!r} differ from "
+                         f"the config's {cfg.epsilon!r}, {cfg.tau!r}")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-    cfg = replace(cfg, epsilon=epsilon, tau=tau)
     plan = plan_budget(s.n, epsilon)
     rng = np.random.default_rng(cfg.seed)
 
@@ -199,8 +203,8 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     candidates: list[CandidateRecord] = []
     stage_seconds: dict = {}
 
-    def report(verdict, hypothesis=None, stage=None):
-        return LearnReport(verdict=verdict, hypothesis=hypothesis,
+    def report(hypothesis=None, stage=None):
+        return LearnReport(hypothesis=hypothesis,
                            candidates=tuple(candidates),
                            rejection_stage=stage, samples_consumed=consumed,
                            seed=cfg.seed, config=cfg, plan=plan,
@@ -213,8 +217,7 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     outcome = weak_proper_learn(weak_slice, cfg, rng, batch_count=batch)
     stage_seconds["weak"] = time.perf_counter() - clock
     if not outcome.learned:
-        return report(verdicts.REJECTED_NON_GAUSSIAN,
-                      stage=f"weak_learner.{outcome.rejected_by}")
+        return report(stage=f"weak_learner.{outcome.rejected_by}")
     assert outcome.direction is not None
     candidates.append(CandidateRecord(0, outcome.direction, round_delta(0),
                                       None))
@@ -230,8 +233,7 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
                                   rng, batch_count=batch)
         if not update.updated:
             stage_seconds["localization"] = time.perf_counter() - clock
-            return report(verdicts.REJECTED_NON_GAUSSIAN,
-                          stage=f"round_{t}.{update.rejected_by}")
+            return report(stage=f"round_{t}.{update.rejected_by}")
         assert update.new_direction is not None
         current = update.new_direction
         candidates.append(CandidateRecord(t + 1, current, round_delta(t + 1),
@@ -244,13 +246,11 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     consumed += plan.wedge_slice[1] - plan.wedge_slice[0]
     for cand in candidates:
         for eta in _wedge_schedule(cand.delta, epsilon, eta_min):
-            verdict = wedge_bound_test(wedge_points, cand.direction, eta, cfg)
+            verdict = wedge_bound_test(wedge_points, cand.direction, eta)
             if not verdict.certified:
                 stage_seconds["wedge"] = time.perf_counter() - clock
-                return report(
-                    verdicts.REJECTED_NON_GAUSSIAN,
-                    stage=(f"wedge.candidate_{cand.round_index}."
-                           f"{verdict.failed_check}"))
+                return report(stage=(f"wedge.candidate_{cand.round_index}."
+                                     f"{verdict.rejected_by}"))
     stage_seconds["wedge"] = time.perf_counter() - clock
 
     # Stage 4: pick the candidate with the smallest held-out error.
@@ -264,5 +264,4 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
                   for c, err in zip(candidates, errors)]
     best = int(np.argmin(errors))  # argmin keeps the earliest round on ties
     stage_seconds["selection"] = time.perf_counter() - clock
-    return report(verdicts.LEARNED,
-                  hypothesis=Halfspace(candidates[best].direction))
+    return report(hypothesis=Halfspace(candidates[best].direction))

@@ -1,9 +1,9 @@
 """Moment-matching certifier against the standard Gaussian.
 
 Each monomial up to degree k gets a per-monomial tolerance band
-``slack_multiplier * sqrt(Var[m] / n)``: the scale at which even truly
-Gaussian samples fluctuate, so completeness is testable at realistic
-sample sizes. (The theory's uniform tolerance,
+``SLACK * sqrt(Var[m] / n)`` with the frozen ``SLACK = 6``: the scale at
+which even truly Gaussian samples fluctuate, so completeness is testable
+at realistic sample sizes. (The theory's uniform tolerance,
 ``(1 / (k d^k)) * (1 / (C sqrt(k)))^(k+1)``, is far below sampling noise
 at any feasible n and would reject true Gaussians too.)
 """
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import verdicts
-from .core import LabeledSampleSet, RunConfig
+from .core import MAX_MOMENT_DEGREE, SLACK, LabeledSampleSet
 from .moments import (MonomialExponent, batch_empirical_moments,
                       enumerate_monomials, gaussian_moment,
                       gaussian_moment_variance)
@@ -39,18 +39,19 @@ class MomentViolation:
 
 @dataclass(frozen=True)
 class MomentTestReport:
-    """Certified iff every monomial sits inside its tolerance band."""
+    """Certified iff every monomial sits inside its tolerance band, that
+    is, iff no violation is reported."""
 
-    verdict: str
     worst_violations: tuple[MomentViolation, ...]
 
     @property
     def certified(self) -> bool:
-        return self.verdict == verdicts.CERTIFIED
+        return not self.worst_violations
 
     def to_json_dict(self) -> dict:
         return {
-            "verdict": self.verdict,
+            "verdict": (verdicts.CERTIFIED if self.certified
+                        else verdicts.REJECTED_NON_GAUSSIAN),
             "violations": [
                 {
                     "monomial": list(v.monomial.exponents),
@@ -75,20 +76,20 @@ def _reference_table(d: int, k: int):
     return monomials, reference, variance
 
 
-def moment_match_test(s: LabeledSampleSet, k: int,
-                      cfg: RunConfig) -> MomentTestReport:
-    """Certify that all sample moments up to degree k match N(0, I).
+def moment_match_test(s: LabeledSampleSet, k: int) -> MomentTestReport:
+    """Certify that all sample moments up to degree k match N(0, I), each
+    within SLACK standard errors.
 
     Labels are ignored; the test concerns the x-marginal only.
     """
     if s.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {s.n}")
-    if not 1 <= k <= cfg.k_cap:
-        raise ValueError(f"k must lie in [1, {cfg.k_cap}]")
+    if not 1 <= k <= MAX_MOMENT_DEGREE:
+        raise ValueError(f"k must lie in [1, {MAX_MOMENT_DEGREE}]")
 
     monomials, reference, variance = _reference_table(s.d, k)
     empirical = batch_empirical_moments(s.points, monomials)
-    tolerance = cfg.slack_multiplier * np.sqrt(variance / s.n)
+    tolerance = SLACK * np.sqrt(variance / s.n)
 
     violations = [
         (idx, MomentViolation(monomials[idx], float(empirical[idx]),
@@ -98,6 +99,5 @@ def moment_match_test(s: LabeledSampleSet, k: int,
     ]
     # Worst first; ties fall back to graded-lex enumeration order.
     violations.sort(key=lambda pair: (-pair[1].ratio, pair[0]))
-    worst = tuple(v for _, v in violations[:MAX_REPORTED_VIOLATIONS])
-    verdict = verdicts.CERTIFIED if not violations else verdicts.REJECTED_NON_GAUSSIAN
-    return MomentTestReport(verdict=verdict, worst_violations=worst)
+    return MomentTestReport(tuple(
+        v for _, v in violations[:MAX_REPORTED_VIOLATIONS]))

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import verdicts
 from .core import LabeledSampleSet, RunConfig, UnitVector
 from .localize import EmptyLocalizationError, rejection_sample, whiten, \
     unwhiten_direction
@@ -26,14 +25,13 @@ EXPECTED_ACCEPT_MIN = 2 * WEAK_MIN_SAMPLES
 
 @dataclass(frozen=True)
 class UpdateOutcome:
-    verdict: str
     new_direction: UnitVector | None
     acceptance_rate: float
     rejected_by: str | None
 
     @property
     def updated(self) -> bool:
-        return self.verdict == verdicts.UPDATED
+        return self.rejected_by is None
 
 
 def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
@@ -60,22 +58,18 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
     try:
         accepted, rate = rejection_sample(s, v, delta, rng)
     except EmptyLocalizationError:
-        return UpdateOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
-                             new_direction=None, acceptance_rate=0.0,
+        return UpdateOutcome(new_direction=None, acceptance_rate=0.0,
                              rejected_by=RATE_CHECK)
     if not delta / 2.0 <= rate <= 3.0 * delta / 2.0:
-        return UpdateOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
-                             new_direction=None, acceptance_rate=rate,
+        return UpdateOutcome(new_direction=None, acceptance_rate=rate,
                              rejected_by=RATE_CHECK)
 
     inner = weak_proper_learn(whiten(accepted, v, delta), cfg, rng,
                               batch_count=batch_count)
     if not inner.learned:
-        return UpdateOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
-                             new_direction=None, acceptance_rate=rate,
+        return UpdateOutcome(new_direction=None, acceptance_rate=rate,
                              rejected_by=inner.rejected_by)
     assert inner.direction is not None
-    return UpdateOutcome(verdict=verdicts.UPDATED,
-                         new_direction=unwhiten_direction(inner.direction, v,
+    return UpdateOutcome(new_direction=unwhiten_direction(inner.direction, v,
                                                           delta),
                          acceptance_rate=rate, rejected_by=None)

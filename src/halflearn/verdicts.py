@@ -3,4 +3,3 @@
 CERTIFIED = "certified"
 REJECTED_NON_GAUSSIAN = "rejected_non_gaussian"
 LEARNED = "learned"
-UPDATED = "updated"

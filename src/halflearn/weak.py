@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import verdicts
 from .chow import default_batch_count, estimate_chow
 from .core import (NORM_FLOOR, LabeledSampleSet, RunConfig, UnitVector,
                    normalize)
@@ -29,14 +28,13 @@ DEGENERATE_CHOW = "degenerate_chow"
 
 @dataclass(frozen=True)
 class WeakLearnOutcome:
-    verdict: str
     direction: UnitVector | None
     moment_report: MomentTestReport
     rejected_by: str | None  # MOMENT_TEST or DEGENERATE_CHOW
 
     @property
     def learned(self) -> bool:
-        return self.verdict == verdicts.LEARNED
+        return self.rejected_by is None
 
 
 def weak_proper_learn(s: LabeledSampleSet, cfg: RunConfig,
@@ -55,19 +53,16 @@ def weak_proper_learn(s: LabeledSampleSet, cfg: RunConfig,
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    report = moment_match_test(s, cfg.k_cap, cfg)
+    report = moment_match_test(s, cfg.k_cap)
     if not report.certified:
-        return WeakLearnOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
-                                direction=None, moment_report=report,
+        return WeakLearnOutcome(direction=None, moment_report=report,
                                 rejected_by=MOMENT_TEST)
 
     if batch_count is None:
         batch_count = default_batch_count(s.d, cfg.tau, s.n)
     estimate = estimate_chow(s, batch_count, rng)
     if float(np.linalg.norm(estimate.vector)) <= NORM_FLOOR:
-        return WeakLearnOutcome(verdict=verdicts.REJECTED_NON_GAUSSIAN,
-                                direction=None, moment_report=report,
+        return WeakLearnOutcome(direction=None, moment_report=report,
                                 rejected_by=DEGENERATE_CHOW)
-    return WeakLearnOutcome(verdict=verdicts.LEARNED,
-                            direction=normalize(estimate.vector),
+    return WeakLearnOutcome(direction=normalize(estimate.vector),
                             moment_report=report, rejected_by=None)

@@ -4,10 +4,11 @@ known v disagrees with v on O(eta) mass, or the marginal is not Gaussian.
 The line along v is cut into slabs of width eta out to a tail threshold
 T = sqrt(2 log(1/eta)) (Gaussian mass beyond T is about eta, so the tails
 can be lumped). Two checks back the certificate: the slab-mass histogram
-must match the Gaussian discretization in total variation, and inside
-each well-populated slab the points projected off v must have second
-moment bounded by 2 and mean bounded by 1. Together these dominate the
-disagreement mass of every nearby halfspace.
+must match the Gaussian discretization in total variation (within eta
+plus SLACK = 6 sampling standard errors), and inside each well-populated
+slab the points projected off v must have second moment bounded by 2 and
+mean bounded by 1. Together these dominate the disagreement mass of every
+nearby halfspace.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import verdicts
-from .core import RunConfig, UnitVector, normalize
+from .core import SLACK, UnitVector, normalize
 
 MEAN_BOUND = 1.0
 EIGENVALUE_BOUND = 2.0
 _CHECK_TOL = 1e-8
 
+# Values of WedgeVerdict.rejected_by.
 TV_CHECK = "tv_check"
 SLAB_MOMENT_CHECK = "slab_moment_check"
 
@@ -115,8 +116,7 @@ class SlabDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class WedgeVerdict:
-    verdict: str
-    failed_check: str | None           # TV_CHECK or SLAB_MOMENT_CHECK
+    rejected_by: str | None            # TV_CHECK or SLAB_MOMENT_CHECK
     failed_slab_index: int | None      # slab index i for moment failures
     tv_discrepancy: float
     worst_slab_eigenvalue: float
@@ -124,7 +124,7 @@ class WedgeVerdict:
 
     @property
     def certified(self) -> bool:
-        return self.verdict == verdicts.CERTIFIED
+        return self.rejected_by is None
 
 
 def _decompose(points: np.ndarray, v: UnitVector, eta: float):
@@ -158,16 +158,16 @@ def decompose_slabs(points: np.ndarray, v: UnitVector,
     return _decompose(_as_points(points, v), v, eta)[0]
 
 
-def wedge_bound_test(points: np.ndarray, v: UnitVector, eta: float,
-                     cfg: RunConfig) -> WedgeVerdict:
+def wedge_bound_test(points: np.ndarray, v: UnitVector,
+                     eta: float) -> WedgeVerdict:
     """Certify the wedge bound at scale eta or reject the marginal.
 
     Checks, in order: (a) total variation between empirical and reference
     slab masses within eta plus a finite-sample allowance of
-    slack_multiplier * sqrt((2B+3)/n); (b) per slab with enough points,
-    the projection onto the orthogonal complement of v has top second-
-    moment eigenvalue <= 2 and mean norm <= 1. The first failing check is
-    reported, slabs in ascending index order.
+    SLACK * sqrt((2B+3)/n); (b) per slab with enough points, the
+    projection onto the orthogonal complement of v has top second-moment
+    eigenvalue <= 2 and mean norm <= 1. The first failing check is named
+    in rejected_by, slabs in ascending index order.
     """
     _check_eta(eta)
     points = _as_points(points, v)
@@ -181,10 +181,9 @@ def wedge_bound_test(points: np.ndarray, v: UnitVector, eta: float,
     b = decomposition.b
     tv = float(np.abs(decomposition.slab_masses
                       - decomposition.reference_masses).sum())
-    allowance = cfg.slack_multiplier * math.sqrt((2 * b + 3) / n)
+    allowance = SLACK * math.sqrt((2 * b + 3) / n)
     if tv > eta + allowance:
-        return WedgeVerdict(verdict=verdicts.REJECTED_NON_GAUSSIAN,
-                            failed_check=TV_CHECK, failed_slab_index=None,
+        return WedgeVerdict(rejected_by=TV_CHECK, failed_slab_index=None,
                             tv_discrepancy=tv, worst_slab_eigenvalue=0.0,
                             decomposition=decomposition)
 
@@ -203,15 +202,13 @@ def wedge_bound_test(points: np.ndarray, v: UnitVector, eta: float,
         worst_eig = max(worst_eig, top)
         mean_norm = float(np.linalg.norm(projected.mean(axis=0)))
         if top > EIGENVALUE_BOUND + _CHECK_TOL or mean_norm > MEAN_BOUND + _CHECK_TOL:
-            return WedgeVerdict(verdict=verdicts.REJECTED_NON_GAUSSIAN,
-                                failed_check=SLAB_MOMENT_CHECK,
+            return WedgeVerdict(rejected_by=SLAB_MOMENT_CHECK,
                                 failed_slab_index=offset - b - 1,
                                 tv_discrepancy=tv,
                                 worst_slab_eigenvalue=worst_eig,
                                 decomposition=decomposition)
-    return WedgeVerdict(verdict=verdicts.CERTIFIED, failed_check=None,
-                        failed_slab_index=None, tv_discrepancy=tv,
-                        worst_slab_eigenvalue=worst_eig,
+    return WedgeVerdict(rejected_by=None, failed_slab_index=None,
+                        tv_discrepancy=tv, worst_slab_eigenvalue=worst_eig,
                         decomposition=decomposition)
 
 

@@ -196,7 +196,7 @@ def test_criterion_06_wedge_certificate():
                 rng = np.random.default_rng([seed, 6])
                 points = rng.standard_normal((n, d))
                 v = random_unit_vector(d, rng)
-                verdict = wedge_bound_test(points, v, eta, cfg(seed))
+                verdict = wedge_bound_test(points, v, eta)
                 if not verdict.certified:
                     continue
                 certified += 1

@@ -66,6 +66,20 @@ class TestGenerate:
                  "gaussian", "--seed", "1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--d", "1"], ["--d", "0"], ["--n", "0"], ["--opt", "0.7"],
+        ["--seed", "-1"],
+        ["--marginal", "scaled-gaussian", "--scale-axis", "3"],
+    ])
+    def test_out_of_range_flag_exits_two(self, tmp_path, capsys, flags):
+        base = tmp_path / "bad"
+        code = run(["generate", "--d", "3", "--n", "10", "--marginal",
+                    "gaussian", "--noise", "random-flip", "--opt", "0.1",
+                    "--seed", "1", "--out", str(base), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not base.with_suffix(".csv").exists()
+
 
 class TestLearn:
     def test_clean_gaussian_exits_zero(self, gaussian_csv, tmp_path):
@@ -111,6 +125,13 @@ class TestLearn:
         with pytest.raises(SystemExit) as excinfo:
             run(["learn", "--in", str(tmp_path / "x.csv"), "--out",
                  str(tmp_path / "r.json"), "--c-a", "2.0"])
+        assert excinfo.value.code == 2
+
+    def test_slack_flag_is_usage_error(self, tmp_path):
+        # The tolerance width is the frozen constant SLACK, not a flag.
+        with pytest.raises(SystemExit) as excinfo:
+            run(["learn", "--in", str(tmp_path / "x.csv"), "--out",
+                 str(tmp_path / "r.json"), "--slack", "1000"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("flags", [["--k-cap", "21"], ["--epsilon", "2"]])

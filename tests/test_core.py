@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
-                       empirical_error)
+                       empirical_error, random_unit_vector)
 from halflearn.core import (DegenerateVectorError, normalize, predict,
                             predict_batch)
 
@@ -111,6 +111,14 @@ class TestNormalize:
         assert np.allclose(a.coords, b.coords, atol=1e-12)
 
 
+class TestRandomUnitVector:
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_rejects_dimension_below_two(self, rng, d):
+        # At d = 0 every draw has norm 0, so the redraw loop never ended.
+        with pytest.raises(ValueError, match="at least 2"):
+            random_unit_vector(d, rng)
+
+
 class TestLabeledSampleSet:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
@@ -133,7 +141,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0}, {"epsilon": 1.0}, {"tau": 0.0}, {"k_cap": 1},
-        {"tau": 1.0}, {"slack_multiplier": 0.0}, {"seed": -1}, {"k_cap": 21},
+        {"tau": 1.0}, {"k_cap": 4.5}, {"seed": -1}, {"k_cap": 21},
+        {"seed": 1.5},
     ])
     def test_rejects_out_of_range(self, kwargs):
         base = {"epsilon": 0.05, "tau": 0.05, "seed": 0}

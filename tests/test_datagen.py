@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halflearn import (Halfspace, RunConfig, UnitVector, empirical_error,
+from halflearn import (Halfspace, UnitVector, empirical_error,
                        random_unit_vector)
 from halflearn.core import predict_batch
 from halflearn.datagen import (MarginalFamily, NoiseModel, generate,
@@ -13,10 +13,6 @@ from conftest import basis_vector
 
 def v_star(d=5):
     return UnitVector(basis_vector(d, 0))
-
-
-def cfg():
-    return RunConfig(epsilon=0.05, tau=0.05, seed=0)
 
 
 class TestNoiseModels:
@@ -116,7 +112,7 @@ class TestMarginalFamilies:
             for seed in range(20):
                 s = generate(d, n, family, v_star(), NoiseModel("clean"),
                              seed)
-                certified = moment_match_test(s, degree, cfg()).certified
+                certified = moment_match_test(s, degree).certified
                 hits += certified == should_pass
             assert hits >= 19, (family.kind, hits)
 

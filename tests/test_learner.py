@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import basis_vector, stdout_with_blas_threads
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector, testable_learn)
@@ -10,6 +14,8 @@ from halflearn.core import predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate, make_noise
 from halflearn.io import json_dumps
 from halflearn.learner import max_rounds, plan_budget, round_raw_size
+from halflearn.weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
+from halflearn.wedge import min_sample_count
 
 
 def cfg(seed=0):
@@ -43,6 +49,78 @@ class TestBudgetPlan:
     def test_insufficient_budget_raises(self):
         with pytest.raises(ValueError, match="budget insufficient"):
             plan_budget(100_000, 0.05)
+
+
+def _funded_rows(rounds):
+    """Raw rows that the first `rounds` localization rounds consume."""
+    return sum(round_raw_size(t) for t in range(rounds))
+
+
+def _budget_edges(epsilon):
+    """(share, rows) pairs: n = rows / share is where one slice of the
+    documented 25/60/10/5 split reaches its minimum or one more round
+    fits."""
+    selection_min = math.ceil(math.log(1.0 / epsilon) / epsilon**2)
+    edges = [(0.25, WEAK_MIN_SAMPLES), (0.60, round_raw_size(0)),
+             (0.10, min_sample_count(0.5)), (0.05, selection_min)]
+    edges += [(0.60, _funded_rows(r))
+              for r in range(2, max_rounds(epsilon) + 1)]
+    return edges
+
+
+@st.composite
+def budget_edge(draw):
+    epsilon = draw(st.floats(0.004, 0.49))
+    share, rows = draw(st.sampled_from(_budget_edges(epsilon)))
+    # Within about two rows of the slice's own edge.
+    edge, reach = math.ceil(rows / share), math.ceil(2 / share)
+    return draw(st.integers(edge - reach, edge + reach)), epsilon
+
+
+class TestBudgetEdges:
+    @settings(max_examples=400)
+    @given(budget_edge())
+    def test_plan_or_named_shortfall(self, case):
+        n, epsilon = case
+        n_weak, n_loc, n_wedge = int(0.25 * n), int(0.60 * n), int(0.10 * n)
+        n_sel = n - n_weak - n_loc - n_wedge
+        short = {name for name, size, need in [
+            ("weak-learner", n_weak, WEAK_MIN_SAMPLES),
+            ("localization", n_loc, round_raw_size(0)),
+            ("wedge", n_wedge, min_sample_count(0.5)),
+            ("selection", n_sel,
+             math.ceil(math.log(1.0 / epsilon) / epsilon**2)),
+        ] if size < need}
+        if short:
+            with pytest.raises(ValueError, match="budget insufficient") as exc:
+                plan_budget(n, epsilon)
+            named = {name for name in ("weak-learner", "localization",
+                                       "wedge", "selection")
+                     if f"{name} slice" in str(exc.value)}
+            assert named == short
+            return
+
+        plan = plan_budget(n, epsilon)
+        funded = max(r for r in range(max_rounds(epsilon) + 1)
+                     if _funded_rows(r) <= n_loc)
+        assert plan.rounds == funded >= 1
+        slices = [(0, plan.n_weak), *plan.round_slices, plan.wedge_slice,
+                  plan.selection_slice]
+        assert all(start < end for start, end in slices)
+        assert all(prev[1] <= nxt[0] for prev, nxt in zip(slices, slices[1:]))
+        assert plan.n_weak == n_weak
+        assert [sl[1] - sl[0] for sl in plan.round_slices] == \
+            [round_raw_size(t) for t in range(funded)]
+        assert plan.round_slices[0][0] == n_weak
+        assert all(a[1] == b[0] for a, b in zip(plan.round_slices,
+                                                plan.round_slices[1:]))
+        assert plan.wedge_slice == (n_weak + n_loc, n_weak + n_loc + n_wedge)
+        assert plan.selection_slice == (n - n_sel, n)
+
+    def test_documented_round_counts(self):
+        # At epsilon = 0.05: 600k rows fund 1 round, 5M fund 4, 21M all 6.
+        assert [plan_budget(n, 0.05).rounds
+                for n in (600_000, 5_000_000, 21_000_000)] == [1, 4, 6]
 
 
 class TestEndToEnd:
@@ -216,8 +294,17 @@ class TestDeterminism:
 class TestContract:
     def test_epsilon_range(self):
         s, _ = planted(400_000, 5, 0)
-        with pytest.raises(ValueError):
-            testable_learn(s, 0.5, 0.05, cfg())
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            testable_learn(s, 0.5, 0.05,
+                           RunConfig(epsilon=0.5, tau=0.05, seed=0))
+
+    def test_arguments_must_match_config(self):
+        # The report echoes the config, so a second epsilon or tau that
+        # differs from it is refused rather than silently applied.
+        s, _ = planted(400_000, 5, 0)
+        with pytest.raises(ValueError, match="differ from the config"):
+            testable_learn(s, 0.05, 0.05,
+                           RunConfig(epsilon=0.3, tau=0.5, seed=0))
 
     def test_budget_checked_before_work(self):
         s, _ = planted(5_000, 5, 0)

@@ -99,9 +99,7 @@ class TestWhiten:
     def test_whitened_localized_gaussian_is_standard(self):
         # Localize at sigma = 0.2 then whiten: moments up to degree 4 match
         # N(0, I) again.
-        from halflearn import RunConfig
         from halflearn.moment_test import moment_match_test
-        cfg = RunConfig(epsilon=0.05, tau=0.05, seed=0)
         v = unit(basis_vector(4, 0))
         hits_k2 = hits_k4 = 0
         for seed in range(20):
@@ -109,8 +107,8 @@ class TestWhiten:
             accepted, _ = rejection_sample(s, v, 0.2,
                                            np.random.default_rng(seed))
             whitened = whiten(accepted, v, 0.2)
-            hits_k2 += moment_match_test(whitened, 2, cfg).certified
-            hits_k4 += moment_match_test(whitened, 4, cfg).certified
+            hits_k2 += moment_match_test(whitened, 2).certified
+            hits_k4 += moment_match_test(whitened, 4).certified
         assert hits_k2 >= 19
         assert hits_k4 >= 19
 

@@ -3,13 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from halflearn import LabeledSampleSet, RunConfig
+from halflearn import LabeledSampleSet
 from halflearn.io import json_dumps
 from halflearn.moment_test import moment_match_test
-
-
-def cfg(slack=6.0):
-    return RunConfig(epsilon=0.05, tau=0.05, seed=0, slack_multiplier=slack)
 
 
 def gaussian_set(n, d, seed):
@@ -26,19 +22,19 @@ def rademacher_set(n, d, seed):
 
 class TestVerdicts:
     def test_gaussian_certified_over_20_seeds(self):
-        hits = sum(moment_match_test(gaussian_set(100_000, 5, seed), 4,
-                                     cfg()).certified
+        hits = sum(moment_match_test(gaussian_set(100_000, 5, seed),
+                                     4).certified
                    for seed in range(20))
         assert hits >= 19
 
     def test_gaussian_certified_at_degree_two(self):
-        hits = sum(moment_match_test(gaussian_set(100_000, 5, seed), 2,
-                                     cfg()).certified
+        hits = sum(moment_match_test(gaussian_set(100_000, 5, seed),
+                                     2).certified
                    for seed in range(20))
         assert hits >= 19
 
     def test_rademacher_rejected_at_pure_quartic(self):
-        report = moment_match_test(rademacher_set(100_000, 5, 3), 4, cfg())
+        report = moment_match_test(rademacher_set(100_000, 5, 3), 4)
         assert not report.certified
         worst = report.worst_violations[0]
         # E[x_i^4] = 1 for +-1 coordinates against the Gaussian value 3.
@@ -48,41 +44,32 @@ class TestVerdicts:
 
     def test_rademacher_passes_at_degree_two(self):
         # +-1 coordinates match the Gaussian exactly up to degree 2.
-        assert moment_match_test(rademacher_set(100_000, 5, 3), 2,
-                                 cfg()).certified
+        assert moment_match_test(rademacher_set(100_000, 5, 3), 2).certified
 
 
 class TestContract:
     def test_requires_min_samples(self):
         with pytest.raises(ValueError):
-            moment_match_test(gaussian_set(99, 3, 0), 2, cfg())
+            moment_match_test(gaussian_set(99, 3, 0), 2)
 
-    def test_k_capped_by_config(self):
-        with pytest.raises(ValueError):
-            moment_match_test(gaussian_set(1000, 3, 0), 5, cfg())
+    def test_k_capped_at_max_degree(self):
+        with pytest.raises(ValueError, match=r"\[1, 20\]"):
+            moment_match_test(gaussian_set(1000, 3, 0), 21)
 
     def test_deterministic(self):
         s = gaussian_set(5000, 4, 11)
-        a = moment_match_test(s, 4, cfg())
-        b = moment_match_test(s, 4, cfg())
+        a = moment_match_test(s, 4)
+        b = moment_match_test(s, 4)
         assert a == b
 
-    def test_monotone_in_slack(self):
-        # Certification survives any slack increase.
-        for seed in range(5):
-            s = gaussian_set(2000, 4, seed)
-            if moment_match_test(s, 4, cfg(slack=2.0)).certified:
-                assert moment_match_test(s, 4, cfg(slack=3.5)).certified
-                assert moment_match_test(s, 4, cfg(slack=6.0)).certified
-
     def test_violations_sorted_and_capped(self):
-        report = moment_match_test(rademacher_set(50_000, 6, 5), 4, cfg())
+        report = moment_match_test(rademacher_set(50_000, 6, 5), 4)
         ratios = [v.ratio for v in report.worst_violations]
         assert ratios == sorted(ratios, reverse=True)
         assert len(report.worst_violations) <= 10
 
     def test_json_round_trip(self):
-        report = moment_match_test(rademacher_set(10_000, 3, 5), 4, cfg())
+        report = moment_match_test(rademacher_set(10_000, 3, 5), 4)
         payload = json.loads(json_dumps(report.to_json_dict()))
         assert payload["verdict"] == "rejected_non_gaussian"
         assert {"monomial", "empirical", "reference", "tolerance"} <= \

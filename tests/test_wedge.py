@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halflearn import RunConfig, UnitVector
+from halflearn import UnitVector
 from halflearn.core import normalize
 from halflearn.wedge import (decompose_slabs, min_sample_count,
                              slab_band_count, smallest_testable_eta,
@@ -9,10 +9,6 @@ from halflearn.wedge import (decompose_slabs, min_sample_count,
                              wedge_bound_test)
 
 from conftest import basis_vector
-
-
-def cfg():
-    return RunConfig(epsilon=0.05, tau=0.05, seed=0)
 
 
 def gaussian_points(n, d, seed):
@@ -67,16 +63,16 @@ class TestWedgeBound:
         hits = 0
         for seed in range(20):
             verdict = wedge_bound_test(gaussian_points(100_000, 5, seed),
-                                       e(5), 0.1, cfg())
+                                       e(5), 0.1)
             hits += verdict.certified
         assert hits >= 19
 
     def test_scaled_coordinate_fails_moment_check(self):
         points = gaussian_points(100_000, 5, 1)
         points[:, 1] *= 3.0
-        verdict = wedge_bound_test(points, e(5), 0.1, cfg())
+        verdict = wedge_bound_test(points, e(5), 0.1)
         assert not verdict.certified
-        assert verdict.failed_check == "slab_moment_check"
+        assert verdict.rejected_by == "slab_moment_check"
         # Projected second moment along the scaled axis is ~9.
         assert verdict.worst_slab_eigenvalue >= 7.0
 
@@ -85,32 +81,32 @@ class TestWedgeBound:
         n = 100_000
         points = rng.standard_normal((n, 4))
         points[:, 0] = rng.choice([-1.0, 1.0], size=n)
-        verdict = wedge_bound_test(points, e(4), 0.1, cfg())
+        verdict = wedge_bound_test(points, e(4), 0.1)
         assert not verdict.certified
-        assert verdict.failed_check == "tv_check"
+        assert verdict.rejected_by == "tv_check"
 
     def test_rotation_equivariance(self):
         points = gaussian_points(20_000, 4, 9)
         rot, _ = np.linalg.qr(np.random.default_rng(10).standard_normal(
             (4, 4)))
         v = normalize(np.random.default_rng(11).standard_normal(4))
-        base = wedge_bound_test(points, v, 0.1, cfg())
+        base = wedge_bound_test(points, v, 0.1)
         rotated = wedge_bound_test(points @ rot.T,
-                                   normalize(rot @ v.coords), 0.1, cfg())
-        assert base.verdict == rotated.verdict
+                                   normalize(rot @ v.coords), 0.1)
+        assert base.rejected_by == rotated.rejected_by
         assert np.allclose(base.decomposition.slab_masses,
                            rotated.decomposition.slab_masses, atol=1e-12)
 
     def test_tv_invariant_under_permutation(self):
         points = gaussian_points(5000, 3, 3)
         perm = np.random.default_rng(4).permutation(5000)
-        a = wedge_bound_test(points, e(3), 0.2, cfg())
-        b = wedge_bound_test(points[perm], e(3), 0.2, cfg())
+        a = wedge_bound_test(points, e(3), 0.2)
+        b = wedge_bound_test(points[perm], e(3), 0.2)
         assert a.tv_discrepancy == b.tv_discrepancy
 
     def test_sample_precondition(self):
         with pytest.raises(ValueError):
-            wedge_bound_test(gaussian_points(900, 3, 0), e(3), 0.1, cfg())
+            wedge_bound_test(gaussian_points(900, 3, 0), e(3), 0.1)
 
     def test_smallest_testable_eta(self):
         eta = smallest_testable_eta(100_000)
