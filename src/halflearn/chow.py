@@ -39,14 +39,13 @@ def default_batch_count(d: int, tau: float, n: int) -> int:
 
 
 def estimate_chow(s: LabeledSampleSet, batch_count: int,
-                  rng: np.random.Generator | None = None) -> ChowEstimate:
+                  rng: np.random.Generator) -> ChowEstimate:
     """Median-of-means estimate of E[y x].
 
-    Samples are shuffled (seeded; ``rng`` defaults to a fixed generator so
-    the estimate is a deterministic function of the inputs) and split into
-    ``batch_count`` contiguous equal batches, dropping the remainder; each
-    coordinate is the median of the batch means. ``batch_count`` must be
-    odd; with a single batch the estimate is exactly the sample mean.
+    Samples are shuffled by ``rng`` and split into ``batch_count``
+    contiguous equal batches, dropping the remainder; each coordinate is
+    the median of the batch means. ``batch_count`` must be odd; with a
+    single batch the estimate is exactly the sample mean.
     """
     if batch_count < 1 or batch_count % 2 == 0:
         raise ValueError("batch_count must be odd and positive")
@@ -59,8 +58,6 @@ def estimate_chow(s: LabeledSampleSet, batch_count: int,
         return ChowEstimate(vector=vector, batch_count=1,
                             per_coordinate_spread=np.zeros(s.d))
 
-    if rng is None:
-        rng = np.random.default_rng(0)
     # Seeded shuffle guards against pre-sorted inputs while staying
     # reproducible.
     perm = rng.permutation(s.n)

@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verdicts
 from .core import Halfspace, RunConfig, UnitVector, empirical_error, \
     predict_batch, random_unit_vector
 from .datagen import MARGINAL_KINDS, MarginalFamily, generate, make_noise
 from .io import CsvFormatError, file_sha256, json_dumps, read_samples_csv, \
     write_json, write_samples_csv
-from .learner import testable_learn
+from .learner import LEARNED, testable_learn
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -181,6 +180,10 @@ _FIELDS = ["cell_index", "d", "n", "epsilon", "marginal", "noise", "opt",
 
 
 def cmd_experiment(args) -> int:
+    if args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         spec = json.loads(Path(args.spec).read_text())
         if not isinstance(spec, dict):
@@ -217,7 +220,7 @@ def cmd_experiment(args) -> int:
 
     for cell in cells:
         cell_rows = [r for r in rows if r["cell_index"] == cell["cell_index"]]
-        accepted = [r for r in cell_rows if r["verdict"] == verdicts.LEARNED]
+        accepted = [r for r in cell_rows if r["verdict"] == LEARNED]
         rate = len(accepted) / len(cell_rows)
         errors = [r["heldout_error"] for r in accepted
                   if r["heldout_error"] != ""]

@@ -58,9 +58,6 @@ class UnitVector:
     def d(self) -> int:
         return self.coords.shape[0]
 
-    def negated(self) -> "UnitVector":
-        return UnitVector(-self.coords)
-
     def distance_to(self, other: "UnitVector") -> float:
         return float(np.linalg.norm(self.coords - other.coords))
 
@@ -75,9 +72,6 @@ class Halfspace:
     def d(self) -> int:
         return self.normal.d
 
-    def negated(self) -> "Halfspace":
-        return Halfspace(self.normal.negated())
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledSampleSet:
@@ -88,7 +82,7 @@ class LabeledSampleSet:
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.points, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if points.ndim != 2:
             raise ValueError("points must be an (n, d) array")
         if labels.ndim != 1 or labels.shape[0] != points.shape[0]:
@@ -97,8 +91,10 @@ class LabeledSampleSet:
             raise ValueError("need at least one sample")
         if not np.all(np.isfinite(points)):
             raise ValueError("points must be finite")
-        if not np.all(np.abs(labels) == 1):
+        # Checked before the cast, which would truncate 1.7 to 1.
+        if not np.all((labels == 1) | (labels == -1)):
             raise ValueError("labels must be -1 or +1")
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
         object.__setattr__(self, "points", _frozen_view(points))
         object.__setattr__(self, "labels", _frozen_view(labels))
 
@@ -125,8 +121,8 @@ class RunConfig:
     k_cap: int = 4
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        if not 0.0 < self.epsilon < 0.5:
+            raise ValueError("epsilon must lie in (0, 1/2)")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         # numbers.Integral admits NumPy integers and refuses 1.5.
@@ -137,14 +133,6 @@ class RunConfig:
                 and 2 <= self.k_cap <= MAX_MOMENT_DEGREE):
             raise ValueError(
                 f"k_cap must be an integer in [2, {MAX_MOMENT_DEGREE}]")
-
-
-def predict(h: Halfspace, x: np.ndarray) -> int:
-    """Label of a single point: +1 iff normal . x >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (h.d,):
-        raise ValueError(f"point has shape {x.shape}, expected ({h.d},)")
-    return 1 if float(x @ h.normal.coords) >= 0.0 else -1
 
 
 def predict_batch(h: Halfspace, points: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import verdicts
 from .core import Halfspace, LabeledSampleSet, RunConfig, UnitVector, \
     empirical_error
 from .update import EXPECTED_ACCEPT_MIN, localized_update
@@ -38,6 +37,10 @@ DELTA_0 = 1.0 / 100.0
 WEAK_SHARE = 0.25
 LOCALIZATION_SHARE = 0.60
 WEDGE_SHARE = 0.10
+
+# Values of LearnReport.verdict (JSON-stable).
+LEARNED = "learned"
+REJECTED_NON_GAUSSIAN = "rejected_non_gaussian"
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,6 @@ class LearnReport:
     candidates: tuple[CandidateRecord, ...]
     rejection_stage: str | None    # None exactly when learned
     samples_consumed: int
-    seed: int
     config: RunConfig
     plan: BudgetPlan
     # Wall time per stage; deliberately excluded from the JSON report so
@@ -79,8 +81,7 @@ class LearnReport:
 
     @property
     def verdict(self) -> str:
-        return (verdicts.LEARNED if self.learned
-                else verdicts.REJECTED_NON_GAUSSIAN)
+        return LEARNED if self.learned else REJECTED_NON_GAUSSIAN
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,7 +99,6 @@ class LearnReport:
             "hypothesis": (self.hypothesis.normal.coords.tolist()
                            if self.hypothesis is not None else None),
             "samples_consumed": self.samples_consumed,
-            "seed": self.seed,
             "config": {
                 "epsilon": self.config.epsilon,
                 "tau": self.config.tau,
@@ -186,8 +186,6 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     if (epsilon, tau) != (cfg.epsilon, cfg.tau):
         raise ValueError(f"epsilon, tau = {epsilon!r}, {tau!r} differ from "
                          f"the config's {cfg.epsilon!r}, {cfg.tau!r}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
     plan = plan_budget(s.n, epsilon)
     rng = np.random.default_rng(cfg.seed)
 
@@ -207,14 +205,14 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
         return LearnReport(hypothesis=hypothesis,
                            candidates=tuple(candidates),
                            rejection_stage=stage, samples_consumed=consumed,
-                           seed=cfg.seed, config=cfg, plan=plan,
+                           config=cfg, plan=plan,
                            stage_seconds=stage_seconds)
 
     # Stage 1: weak proper learn on the first slice.
     clock = time.perf_counter()
     weak_slice = s.subset(slice(0, plan.n_weak))
     batch = default_batch_count(s.d, tau_stage, weak_slice.n)
-    outcome = weak_proper_learn(weak_slice, cfg, rng, batch_count=batch)
+    outcome = weak_proper_learn(weak_slice, cfg, rng, batch)
     stage_seconds["weak"] = time.perf_counter() - clock
     if not outcome.learned:
         return report(stage=f"weak_learner.{outcome.rejected_by}")
@@ -230,7 +228,7 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
         round_set = s.subset(slice(start, end))
         batch = default_batch_count(s.d, tau_stage, EXPECTED_ACCEPT_MIN)
         update = localized_update(round_set, current, round_delta(t), cfg,
-                                  rng, batch_count=batch)
+                                  rng, batch)
         if not update.updated:
             stage_seconds["localization"] = time.perf_counter() - clock
             return report(stage=f"round_{t}.{update.rejected_by}")

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import verdicts
 from .core import MAX_MOMENT_DEGREE, SLACK, LabeledSampleSet
 from .moments import (MonomialExponent, batch_empirical_moments,
                       enumerate_monomials, gaussian_moment,
@@ -47,21 +46,6 @@ class MomentTestReport:
     @property
     def certified(self) -> bool:
         return not self.worst_violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": (verdicts.CERTIFIED if self.certified
-                        else verdicts.REJECTED_NON_GAUSSIAN),
-            "violations": [
-                {
-                    "monomial": list(v.monomial.exponents),
-                    "empirical": v.empirical,
-                    "reference": v.reference,
-                    "tolerance": v.tolerance,
-                }
-                for v in self.worst_violations
-            ],
-        }
 
 
 @lru_cache(maxsize=16)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_MOMENT_DEGREE, LabeledSampleSet
+from .core import MAX_MOMENT_DEGREE
 
 # Doubles per block of the monomial table (4 MB). Rows per block follow
 # from the table's width alone, so the summation order, and with it every
@@ -203,10 +203,3 @@ def batch_empirical_moments(points: np.ndarray,
                 np.multiply(z[parent], x[coord], out=z[j])
         gram += z @ z.T
     return gram[rows, cols] / n
-
-
-def empirical_moment(s: LabeledSampleSet, m: MonomialExponent) -> float:
-    """(1/n) sum_j prod_i x_{j,i}^{a_i} over the sample points."""
-    if m.d != s.d:
-        raise ValueError(f"monomial over {m.d} variables, samples have {s.d}")
-    return float(batch_empirical_moments(s.points, [m])[0])

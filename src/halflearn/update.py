@@ -35,8 +35,8 @@ class UpdateOutcome:
 
 
 def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
-                     cfg: RunConfig, rng: np.random.Generator | None = None,
-                     batch_count: int | None = None) -> UpdateOutcome:
+                     cfg: RunConfig, rng: np.random.Generator,
+                     batch_count: int) -> UpdateOutcome:
     """Refine v at scale delta, or reject the marginal.
 
     Localizes with sigma = delta. Under a Gaussian marginal the acceptance
@@ -52,8 +52,6 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
         raise ValueError(
             f"expected accepted count {s.n * delta:.0f} below "
             f"{EXPECTED_ACCEPT_MIN}; supply more samples or a larger delta")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     try:
         accepted, rate = rejection_sample(s, v, delta, rng)
@@ -65,7 +63,7 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
                              rejected_by=RATE_CHECK)
 
     inner = weak_proper_learn(whiten(accepted, v, delta), cfg, rng,
-                              batch_count=batch_count)
+                              batch_count)
     if not inner.learned:
         return UpdateOutcome(new_direction=None, acceptance_rate=rate,
                              rejected_by=inner.rejected_by)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chow import default_batch_count, estimate_chow
+from .chow import estimate_chow
 from .core import (NORM_FLOOR, LabeledSampleSet, RunConfig, UnitVector,
                    normalize)
 from .moment_test import MomentTestReport, moment_match_test
@@ -38,8 +38,8 @@ class WeakLearnOutcome:
 
 
 def weak_proper_learn(s: LabeledSampleSet, cfg: RunConfig,
-                      rng: np.random.Generator | None = None,
-                      batch_count: int | None = None) -> WeakLearnOutcome:
+                      rng: np.random.Generator,
+                      batch_count: int) -> WeakLearnOutcome:
     """Moment certification followed by a normalized robust Chow estimate.
 
     Moments are matched up to degree cfg.k_cap; a rejection short-circuits
@@ -50,16 +50,12 @@ def weak_proper_learn(s: LabeledSampleSet, cfg: RunConfig,
     """
     if s.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {s.n}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     report = moment_match_test(s, cfg.k_cap)
     if not report.certified:
         return WeakLearnOutcome(direction=None, moment_report=report,
                                 rejected_by=MOMENT_TEST)
 
-    if batch_count is None:
-        batch_count = default_batch_count(s.d, cfg.tau, s.n)
     estimate = estimate_chow(s, batch_count, rng)
     if float(np.linalg.norm(estimate.vector)) <= NORM_FLOOR:
         return WeakLearnOutcome(direction=None, moment_report=report,

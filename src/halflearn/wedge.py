@@ -151,13 +151,6 @@ def _decompose(points: np.ndarray, v: UnitVector, eta: float):
     return decomposition, bins, margins
 
 
-def decompose_slabs(points: np.ndarray, v: UnitVector,
-                    eta: float) -> SlabDecomposition:
-    """Empirical and reference slab masses along v at width eta."""
-    _check_eta(eta)
-    return _decompose(_as_points(points, v), v, eta)[0]
-
-
 def wedge_bound_test(points: np.ndarray, v: UnitVector,
                      eta: float) -> WedgeVerdict:
     """Certify the wedge bound at scale eta or reject the marginal.

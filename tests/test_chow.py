@@ -64,7 +64,7 @@ class TestHandComputed:
         points = rng.standard_normal((40, 3))
         labels = rng.choice([-1, 1], size=40)
         s = LabeledSampleSet(points, labels)
-        est = estimate_chow(s, 1)
+        est = estimate_chow(s, 1, np.random.default_rng(0))
         exact = np.mean(labels[:, None] * points, axis=0)
         assert np.array_equal(est.vector, exact)
 
@@ -116,12 +116,12 @@ class TestContract:
     def test_requires_odd_batches(self):
         s = planted_set(100, 3, 0)
         with pytest.raises(ValueError):
-            estimate_chow(s, 4)
+            estimate_chow(s, 4, np.random.default_rng(0))
 
     def test_requires_enough_samples(self):
         s = planted_set(50, 3, 0)
         with pytest.raises(ValueError):
-            estimate_chow(s, 7)
+            estimate_chow(s, 7, np.random.default_rng(0))
 
     def test_spread_is_nonnegative(self):
         est = estimate_chow(planted_set(1000, 3, 1), 5,

@@ -134,7 +134,9 @@ class TestLearn:
                  str(tmp_path / "r.json"), "--slack", "1000"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("flags", [["--k-cap", "21"], ["--epsilon", "2"]])
+    @pytest.mark.parametrize("flags", [["--k-cap", "21"], ["--epsilon", "2"],
+                                       ["--epsilon", "0.7"],
+                                       ["--epsilon", "0.5"]])
     def test_out_of_range_flag_exits_two_before_reading(self, tmp_path,
                                                          capsys, flags):
         # The input does not exist, so exit 2 shows it was never opened.
@@ -194,6 +196,18 @@ class TestExperiment:
             spec_path.write_text(text)
             assert run(["experiment", "--spec", str(spec_path)]) == 1, text
             assert "error: bad experiment spec: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_two(self, tmp_path, capsys, workers):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"grid": {"d": [4], "n": [4000]},
+                                         "seeds": [0]}))
+        out_path = tmp_path / "agg.csv"
+        code = run(["experiment", "--spec", str(spec_path), "--out",
+                    str(out_path), "--workers", workers])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_path.exists()
 
     def test_crashing_cells_recorded_and_counted(self, tmp_path):
         # 3-cell grid x 5 seeds -> 15 rows + header even though every run

@@ -6,8 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector)
-from halflearn.core import (DegenerateVectorError, normalize, predict,
-                            predict_batch)
+from halflearn.core import DegenerateVectorError, normalize, predict_batch
 
 from conftest import basis_vector
 
@@ -32,19 +31,20 @@ class TestUnitVector:
 
 
 class TestPredict:
+    # predict_batch on one-row arrays.
     def test_positive_projection(self):
-        assert predict(e1_halfspace(), np.array([2.0, 0.0])) == 1
+        assert predict_batch(e1_halfspace(), np.array([[2.0, 0.0]])) == [1]
 
     def test_boundary_is_positive(self):
         # sign(0) = +1 keeps boundary points deterministic
-        assert predict(e1_halfspace(), np.array([0.0, 5.0])) == 1
+        assert predict_batch(e1_halfspace(), np.array([[0.0, 5.0]])) == [1]
 
     def test_negative_projection(self):
-        assert predict(e1_halfspace(), np.array([-0.1, 99.0])) == -1
+        assert predict_batch(e1_halfspace(), np.array([[-0.1, 99.0]])) == [-1]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            predict(e1_halfspace(), np.array([1.0, 2.0, 3.0]))
+            predict_batch(e1_halfspace(), np.array([[1.0, 2.0, 3.0]]))
 
     @given(scale=st.floats(min_value=1e-6, max_value=1e6),
            x=arrays(np.float64, (3,),
@@ -54,7 +54,7 @@ class TestPredict:
         # subnormal inputs could underflow to signed zero under scaling,
         # which is outside the positive-rescaling contract
         h = e1_halfspace(3)
-        assert predict(h, x) == predict(h, scale * x)
+        assert predict_batch(h, x[None]) == predict_batch(h, scale * x[None])
 
 
 class TestEmpiricalError:
@@ -86,7 +86,8 @@ class TestEmpiricalError:
         points = rng.standard_normal((101, 3))
         labels = rng.choice([-1, 1], size=101)
         s = LabeledSampleSet(points, labels)
-        total = empirical_error(h, s) + empirical_error(h.negated(), s)
+        negated = Halfspace(UnitVector(-h.normal.coords))
+        total = empirical_error(h, s) + empirical_error(negated, s)
         assert total == pytest.approx(1.0)
 
 
@@ -124,6 +125,16 @@ class TestLabeledSampleSet:
         with pytest.raises(ValueError):
             LabeledSampleSet(np.zeros((2, 2)), np.array([0, 1]))
 
+    def test_rejects_fractional_labels(self):
+        # An int64 cast would truncate these to 1 and -1.
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            LabeledSampleSet(np.zeros((2, 2)), np.array([1.7, -1.2]))
+
+    def test_accepts_float_labels(self):
+        s = LabeledSampleSet(np.zeros((2, 2)), np.array([1.0, -1.0]))
+        assert s.labels.dtype == np.int64
+        assert s.labels.tolist() == [1, -1]
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LabeledSampleSet(np.array([[np.inf, 0.0]]), np.array([1]))
@@ -142,7 +153,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0}, {"epsilon": 1.0}, {"tau": 0.0}, {"k_cap": 1},
         {"tau": 1.0}, {"k_cap": 4.5}, {"seed": -1}, {"k_cap": 21},
-        {"seed": 1.5},
+        {"seed": 1.5}, {"epsilon": 0.5},
     ])
     def test_rejects_out_of_range(self, kwargs):
         base = {"epsilon": 0.05, "tau": 0.05, "seed": 0}

@@ -246,7 +246,7 @@ class TestRejectionStage:
         real = weak.estimate_chow
         calls = []
 
-        def chow(s, batch_count, rng=None):
+        def chow(s, batch_count, rng):
             calls.append(s.n)
             if len(calls) == zero_call:
                 return ChowEstimate(np.zeros(s.d), batch_count,
@@ -291,8 +291,18 @@ class TestDeterminism:
         assert payloads[0] == payloads[1]
 
 
+class TestReportSchema:
+    def test_top_level_and_config_keys(self):
+        payload = testable_learn(staged(), 0.05, 0.05, cfg()).to_json_dict()
+        assert set(payload) == {"verdict", "rejection_stage", "rounds",
+                                "hypothesis", "samples_consumed", "config",
+                                "stage_slices"}
+        assert set(payload["config"]) == {"epsilon", "tau", "seed", "k_cap"}
+
+
 class TestContract:
     def test_epsilon_range(self):
+        # RunConfig owns the range (0, 1/2); testable_learn never sees 0.5.
         s, _ = planted(400_000, 5, 0)
         with pytest.raises(ValueError, match="epsilon must lie in"):
             testable_learn(s, 0.5, 0.05,

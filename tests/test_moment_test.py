@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from halflearn import LabeledSampleSet
-from halflearn.io import json_dumps
 from halflearn.moment_test import moment_match_test
 
 
@@ -67,11 +64,3 @@ class TestContract:
         ratios = [v.ratio for v in report.worst_violations]
         assert ratios == sorted(ratios, reverse=True)
         assert len(report.worst_violations) <= 10
-
-    def test_json_round_trip(self):
-        report = moment_match_test(rademacher_set(10_000, 3, 5), 4)
-        payload = json.loads(json_dumps(report.to_json_dict()))
-        assert payload["verdict"] == "rejected_non_gaussian"
-        assert {"monomial", "empirical", "reference", "tolerance"} <= \
-            set(payload["violations"][0])
-

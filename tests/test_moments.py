@@ -9,18 +9,15 @@ from conftest import stdout_with_blas_threads
 from hypothesis import given
 from hypothesis import strategies as st
 
-from halflearn import LabeledSampleSet
 from halflearn.moments import (MonomialExponent, batch_empirical_moments,
-                               empirical_moment, enumerate_monomials,
-                               gaussian_moment, gaussian_moment_variance)
+                               enumerate_monomials, gaussian_moment,
+                               gaussian_moment_variance)
 from halflearn import moments
 
 EPS = np.finfo(np.float64).eps
 
 
-def two_point_set():
-    return LabeledSampleSet(np.array([[1.0, 2.0], [-1.0, 0.0]]),
-                            np.array([1, 1]))
+TWO_POINTS = np.array([[1.0, 2.0], [-1.0, 0.0]])
 
 
 class TestEnumerate:
@@ -81,21 +78,21 @@ class TestGaussianMoment:
 
 class TestEmpiricalMoment:
     def test_symmetric_first_coordinate(self):
-        assert empirical_moment(two_point_set(),
-                                MonomialExponent((1, 0))) == 0.0
+        m = MonomialExponent((1, 0))
+        assert batch_empirical_moments(TWO_POINTS, [m])[0] == 0.0
 
     def test_squares(self):
-        assert empirical_moment(two_point_set(),
-                                MonomialExponent((2, 0))) == 1.0
+        m = MonomialExponent((2, 0))
+        assert batch_empirical_moments(TWO_POINTS, [m])[0] == 1.0
 
     def test_cross_term(self):
         # (1*2 + (-1)*0) / 2 = 1
-        assert empirical_moment(two_point_set(),
-                                MonomialExponent((1, 1))) == 1.0
+        m = MonomialExponent((1, 1))
+        assert batch_empirical_moments(TWO_POINTS, [m])[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            empirical_moment(two_point_set(), MonomialExponent((1, 0, 0)))
+            batch_empirical_moments(TWO_POINTS, [MonomialExponent((1, 0, 0))])
 
     def test_batch_matches_naive(self, rng):
         points = rng.standard_normal((500, 3))
@@ -111,11 +108,10 @@ class TestEmpiricalMoment:
             return
         rng = np.random.default_rng(7)
         points = rng.standard_normal((200, 3))
-        s = LabeledSampleSet(points, np.ones(200, dtype=int))
         m = MonomialExponent((a, b, c))
         naive = float(np.prod(points ** np.array([a, b, c]), axis=1).mean())
-        assert empirical_moment(s, m) == pytest.approx(naive, rel=1e-12,
-                                                       abs=1e-12)
+        assert batch_empirical_moments(points, [m])[0] == pytest.approx(
+            naive, rel=1e-12, abs=1e-12)
 
 
 def test_gaussian_concentration_at_desk_scale():

@@ -3,16 +3,25 @@ import pytest
 
 from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error)
+from halflearn.chow import default_batch_count
 from halflearn.core import normalize, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
 from halflearn.localize import rejection_sample
-from halflearn.update import localized_update
+from halflearn.update import EXPECTED_ACCEPT_MIN, localized_update
 
 from conftest import basis_vector
 
 
 def cfg(seed=0):
     return RunConfig(epsilon=0.05, tau=0.05, seed=seed)
+
+
+def update(s, v, delta, c):
+    """localized_update seeded from c.seed, with the pipeline's batch-count
+    formula at c.tau (the pipeline uses a per-tester share of tau)."""
+    return localized_update(s, v, delta, c, np.random.default_rng(c.seed),
+                            default_batch_count(s.d, c.tau,
+                                                EXPECTED_ACCEPT_MIN))
 
 
 def planted_gaussian(n, d, seed):
@@ -31,7 +40,7 @@ class TestHalvingStep:
         hits = 0
         for seed in range(20):
             s, _ = planted_gaussian(400_000, 8, seed)
-            out = localized_update(s, start, 0.01, cfg(seed))
+            out = update(s, start, 0.01, cfg(seed))
             assert out.updated
             hits += np.linalg.norm(
                 out.new_direction.coords - v_star.coords) <= 0.005
@@ -41,8 +50,7 @@ class TestHalvingStep:
         rates = []
         for seed in range(20):
             s, _ = planted_gaussian(50_000, 4, seed)
-            out = localized_update(s, UnitVector(basis_vector(4, 0)), 0.5,
-                                   cfg(seed))
+            out = update(s, UnitVector(basis_vector(4, 0)), 0.5, cfg(seed))
             assert out.updated
             rates.append(out.acceptance_rate)
         assert max(abs(r - 0.5) for r in rates) <= 0.01
@@ -58,7 +66,7 @@ class TestRateCheck:
         points[:, 0] = rng.uniform(-3.0, 3.0, size=n)
         v = UnitVector(basis_vector(d, 0))
         s = LabeledSampleSet(points, predict_batch(Halfspace(v), points))
-        out = localized_update(s, v, delta, cfg())
+        out = update(s, v, delta, cfg())
         assert not out.updated
         assert out.rejected_by == "rate_check"
         assert out.acceptance_rate < delta / 2
@@ -76,7 +84,7 @@ class TestRateCheck:
         points[:, 1:] = rng.choice([-1.0, 1.0], size=(n, d - 1))
         v = UnitVector(basis_vector(d, 0))
         s = LabeledSampleSet(points, predict_batch(Halfspace(v), points))
-        out = localized_update(s, v, 0.02, cfg())
+        out = update(s, v, 0.02, cfg())
         assert not out.updated
         assert out.rejected_by == "moment_test"
 
@@ -102,17 +110,17 @@ class TestContract:
     def test_delta_range(self):
         s, _ = planted_gaussian(10_000, 3, 0)
         with pytest.raises(ValueError):
-            localized_update(s, UnitVector(basis_vector(3, 0)), 0.6, cfg())
+            update(s, UnitVector(basis_vector(3, 0)), 0.6, cfg())
 
     def test_expected_accept_precondition(self):
         s, _ = planted_gaussian(10_000, 3, 0)
         with pytest.raises(ValueError):
-            localized_update(s, UnitVector(basis_vector(3, 0)), 0.01, cfg())
+            update(s, UnitVector(basis_vector(3, 0)), 0.01, cfg())
 
     def test_deterministic_given_seed(self):
         s, _ = planted_gaussian(50_000, 4, 3)
         v = UnitVector(basis_vector(4, 0))
-        a = localized_update(s, v, 0.1, cfg(7))
-        b = localized_update(s, v, 0.1, cfg(7))
+        a = update(s, v, 0.1, cfg(7))
+        b = update(s, v, 0.1, cfg(7))
         assert a.acceptance_rate == b.acceptance_rate
         assert np.array_equal(a.new_direction.coords, b.new_direction.coords)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from halflearn import Halfspace, LabeledSampleSet, RunConfig, UnitVector
+from halflearn.chow import default_batch_count
 from halflearn.core import predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
 from halflearn.weak import weak_proper_learn
@@ -11,6 +12,14 @@ from conftest import basis_vector
 
 def cfg(seed=0, k_cap=4):
     return RunConfig(epsilon=0.05, tau=0.05, seed=seed, k_cap=k_cap)
+
+
+def learn(s, c):
+    """weak_proper_learn seeded from c.seed, with a batch count computed
+    from c.tau; the pipeline computes its count from a per-tester share of
+    tau instead."""
+    return weak_proper_learn(s, c, np.random.default_rng(c.seed),
+                             default_batch_count(s.d, c.tau, s.n))
 
 
 def planted(n, d, seed, flip=0.0):
@@ -29,7 +38,7 @@ class TestLearnBranch:
         angles = []
         for seed in range(20):
             s, v = planted(200_000, 5, seed)
-            out = weak_proper_learn(s, cfg(seed))
+            out = learn(s, cfg(seed))
             assert out.learned
             angles.append(np.arccos(
                 np.clip(out.direction.coords @ v.coords, -1, 1)))
@@ -43,7 +52,7 @@ class TestLearnBranch:
         for opt in (0.0, 0.02, 0.05):
             for seed in range(20):
                 s, v = planted(200_000, 8, seed, flip=opt)
-                out = weak_proper_learn(s, cfg(seed))
+                out = learn(s, cfg(seed))
                 assert out.learned
                 dist = np.linalg.norm(out.direction.coords - v.coords)
                 assert dist <= 2.0 * np.sqrt(opt + eta), (opt, seed, dist)
@@ -51,8 +60,8 @@ class TestLearnBranch:
     def test_direction_scale_invariant(self):
         # Chow scaling cannot change the normalized output.
         s, _ = planted(5000, 3, 1)
-        a = weak_proper_learn(s, cfg(5))
-        b = weak_proper_learn(s, cfg(5))
+        a = learn(s, cfg(5))
+        b = learn(s, cfg(5))
         assert np.array_equal(a.direction.coords, b.direction.coords)
 
 
@@ -62,7 +71,7 @@ class TestRejectBranch:
         points = rng.integers(0, 2, size=(50_000, 5)).astype(float) * 2 - 1
         v = UnitVector(basis_vector(5, 0))
         s = LabeledSampleSet(points, predict_batch(Halfspace(v), points))
-        out = weak_proper_learn(s, cfg())
+        out = learn(s, cfg())
         assert not out.learned
         assert out.direction is None
         assert not out.moment_report.certified
@@ -79,7 +88,7 @@ class TestRejectBranch:
         points[1::2] = -half
         labels = np.ones(4000, dtype=int)
         s = LabeledSampleSet(points, labels)
-        out = weak_proper_learn(s, cfg(), batch_count=1)
+        out = weak_proper_learn(s, cfg(), np.random.default_rng(0), 1)
         assert not out.learned
         assert out.moment_report.certified
         assert out.rejected_by == "degenerate_chow"
@@ -92,8 +101,8 @@ class TestMomentDegree:
         v = UnitVector(basis_vector(3, 0))
         s = generate(3, 20_000, MarginalFamily("uniform-cube"), v,
                      NoiseModel("clean"), 4)
-        assert weak_proper_learn(s, cfg(k_cap=3)).learned
-        out = weak_proper_learn(s, cfg(k_cap=4))
+        assert learn(s, cfg(k_cap=3)).learned
+        out = learn(s, cfg(k_cap=4))
         assert out.rejected_by == "moment_test"
 
 
@@ -101,4 +110,4 @@ class TestContract:
     def test_min_samples(self):
         s, _ = planted(999, 3, 0)
         with pytest.raises(ValueError):
-            weak_proper_learn(s, cfg())
+            learn(s, cfg())

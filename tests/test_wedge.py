@@ -3,7 +3,7 @@ import pytest
 
 from halflearn import UnitVector
 from halflearn.core import normalize
-from halflearn.wedge import (decompose_slabs, min_sample_count,
+from halflearn.wedge import (_decompose, min_sample_count,
                              slab_band_count, smallest_testable_eta,
                              tail_threshold, verify_wedge_certificate,
                              wedge_bound_test)
@@ -24,7 +24,7 @@ class TestDecompose:
         # Points at 0, 0.05, ..., 0.95 along e1 with eta = 0.5: ten in
         # [0, 0.5), ten in [0.5, 1), all below the tail threshold.
         points = np.array([[0.05 * j, 0.0] for j in range(20)])
-        dec = decompose_slabs(points, e(2), 0.5)
+        dec = _decompose(points, e(2), 0.5)[0]
         assert tail_threshold(0.5) > 0.95
         offset = dec.b + 1  # slab index 0
         assert dec.slab_masses[offset] == pytest.approx(0.5)
@@ -33,11 +33,11 @@ class TestDecompose:
     def test_left_closed_boundary(self):
         # v.x exactly eta lands in slab index 1.
         points = np.array([[0.1, 0.0]])
-        dec = decompose_slabs(points, e(2), 0.1)
+        dec = _decompose(points, e(2), 0.1)[0]
         assert dec.slab_masses[dec.b + 2] == 1.0
 
     def test_masses_sum_to_one(self):
-        dec = decompose_slabs(gaussian_points(10_000, 3, 0), e(3), 0.1)
+        dec = _decompose(gaussian_points(10_000, 3, 0), e(3), 0.1)[0]
         assert abs(dec.slab_masses.sum() - 1.0) <= 1e-9
         assert abs(dec.reference_masses.sum() - 1.0) <= 1e-9
 
@@ -45,7 +45,7 @@ class TestDecompose:
         # Every slab's empirical mass sits within 0.005 of its reference.
         worst = 0.0
         for seed in range(20):
-            dec = decompose_slabs(gaussian_points(100_000, 3, seed), e(3), 0.1)
+            dec = _decompose(gaussian_points(100_000, 3, seed), e(3), 0.1)[0]
             worst = max(worst, np.max(np.abs(
                 dec.slab_masses - dec.reference_masses)))
         assert worst <= 0.005
@@ -53,8 +53,8 @@ class TestDecompose:
     def test_band_count_formula(self):
         eta = 0.1
         assert slab_band_count(eta) == int(np.ceil(tail_threshold(eta) / eta))
-        assert len(decompose_slabs(gaussian_points(100, 2, 0), e(2),
-                                   eta).slab_masses) \
+        assert len(_decompose(gaussian_points(100, 2, 0), e(2),
+                              eta)[0].slab_masses) \
             == 2 * slab_band_count(eta) + 3
 
 
