@@ -30,17 +30,6 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
 
-def parse_marginal(spec, axis=0, factor=1.0, dof=3, separation=0.0
-                   ) -> MarginalFamily:
-    """Accepts a kind string or a dict {"kind": ..., params...}."""
-    if isinstance(spec, dict):
-        return MarginalFamily(**spec)
-    if spec not in MARGINAL_KINDS:
-        raise ValueError(f"unknown marginal {spec!r}")
-    return MarginalFamily(kind=spec, axis=axis, factor=factor, dof=dof,
-                          separation=separation)
-
-
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--tau", type=float, default=0.05)
@@ -51,7 +40,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
 def cmd_generate(args) -> int:
     # Every ValueError before the files are written comes from a flag.
     try:
-        marginal = parse_marginal(args.marginal, axis=args.scale_axis,
+        marginal = MarginalFamily(kind=args.marginal, axis=args.scale_axis,
                                   factor=args.scale_factor, dof=args.t_dof,
                                   separation=args.mixture_separation)
         noise = make_noise(args.noise, args.opt)
@@ -89,21 +78,12 @@ def cmd_learn(args) -> int:
     except CsvFormatError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        report = testable_learn(samples, args.epsilon, args.tau, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    report = testable_learn(samples, args.epsilon, args.tau, cfg)
     payload = report.to_json_dict()
     payload["input_csv_sha256"] = digest
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json_dumps(payload))
-    for stage, seconds in report.stage_seconds.items():
-        print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
     print(f"verdict: {report.verdict}"
           + (f" ({report.rejection_stage})" if report.rejection_stage else ""))
     return EXIT_OK if report.learned else EXIT_REJECTED
@@ -131,26 +111,29 @@ def _seed_int(*entropy) -> int:
 
 
 def run_experiment_task(task: dict) -> dict:
-    """One grid cell at one seed; crashes are captured in the row."""
+    """One grid cell run with task["config"]; crashes are captured in the
+    row."""
+    cfg = task["config"]
     row = {key: task[key] for key in ("cell_index", "d", "n", "epsilon",
-                                      "marginal", "noise", "opt", "seed")}
-    row.update({"verdict": "", "rejection_stage": "", "rounds_completed": "",
-                "heldout_error": "", "disagreement_vs_planted": "",
-                "samples_consumed": "", "wall_time_s": "", "error": ""})
+                                      "marginal", "noise", "opt")}
+    row.update({"seed": cfg.seed, "verdict": "", "rejection_stage": "",
+                "rounds_completed": "", "heldout_error": "",
+                "disagreement_vs_planted": "", "samples_consumed": "",
+                "wall_time_s": "", "error": ""})
     if isinstance(row["marginal"], dict):
         row["marginal"] = row["marginal"].get("kind", "custom")
     started = time.perf_counter()
     try:
-        marginal = parse_marginal(task["marginal"])
+        m = task["marginal"]
+        marginal = MarginalFamily(**m) if isinstance(m, dict) \
+            else MarginalFamily(m)
         noise = make_noise(task["noise"], task["opt"])
-        seed = int(task["seed"])
         cell = int(task["cell_index"])
         v_star = random_unit_vector(task["d"], np.random.default_rng(
-            np.random.SeedSequence([seed, cell, 2])))
+            np.random.SeedSequence([cfg.seed, cell, 2])))
         samples = generate(task["d"], task["n"], marginal, v_star, noise,
-                           _seed_int(seed, cell, 0))
-        cfg = RunConfig(epsilon=task["epsilon"], tau=task["tau"], seed=seed)
-        report = testable_learn(samples, task["epsilon"], task["tau"], cfg)
+                           _seed_int(cfg.seed, cell, 0))
+        report = testable_learn(samples, cfg.epsilon, cfg.tau, cfg)
         row["verdict"] = report.verdict
         row["rejection_stage"] = report.rejection_stage or ""
         row["rounds_completed"] = len(report.candidates) - 1 \
@@ -159,7 +142,7 @@ def run_experiment_task(task: dict) -> dict:
         if report.learned:
             eval_n = min(task["n"], 20000)
             heldout = generate(task["d"], eval_n, marginal, v_star, noise,
-                               _seed_int(seed, cell, 1))
+                               _seed_int(cfg.seed, cell, 1))
             hyp = report.hypothesis
             assert hyp is not None
             row["heldout_error"] = empirical_error(hyp, heldout)
@@ -197,14 +180,15 @@ def cmd_experiment(args) -> int:
         cells = _experiment_cells(spec)
         if not cells:
             raise ValueError("grid has no cells")
+        tau = spec.get("tau", 0.05)
+        tasks = [dict(cell, config=RunConfig(epsilon=cell["epsilon"],
+                                             tau=tau, seed=seed))
+                 for cell in cells for seed in seeds]
     except (OSError, ValueError) as exc:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO
     out_path = Path(args.out or spec.get("output_path", "experiment.csv"))
-    tau = spec.get("tau", 0.05)
 
-    tasks = [dict(cell, seed=seed, tau=tau)
-             for cell in cells for seed in seeds]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(run_experiment_task, tasks))
@@ -277,10 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -121,11 +121,14 @@ class RunConfig:
     k_cap: int = 4
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
+        # numbers.Real refuses "0.05" and None, whose comparison would
+        # raise TypeError; numbers.Integral admits NumPy integers and
+        # refuses 1.5.
+        if not (isinstance(self.epsilon, numbers.Real)
+                and 0.0 < self.epsilon < 0.5):
             raise ValueError("epsilon must lie in (0, 1/2)")
-        if not 0.0 < self.tau < 1.0:
+        if not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < 1.0):
             raise ValueError("tau must lie in (0, 1)")
-        # numbers.Integral admits NumPy integers and refuses 1.5.
         if not (isinstance(self.seed, numbers.Integral)
                 and 0 <= self.seed < 2**64):
             raise ValueError("seed must be an integer in [0, 2^64)")

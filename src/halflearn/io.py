@@ -46,9 +46,9 @@ def read_samples_csv(path: str | Path) -> LabeledSampleSet:
     """Parse a sample CSV; raises CsvFormatError naming the first bad line.
 
     One ``np.loadtxt`` pass reads a well-formed file. A file it refuses,
-    or whose table fails a check, goes to the row-by-row parser, which
-    accepts whatever ``float()`` accepts (``1_0``, say) and names the
-    first bad line.
+    or whose table ``LabeledSampleSet`` refuses, goes to the row-by-row
+    parser, which accepts whatever ``float()`` accepts (``1_0``, say) and
+    names the first bad line.
     """
     path = Path(path)
     with path.open("r") as fh:
@@ -63,10 +63,11 @@ def read_samples_csv(path: str | Path) -> LabeledSampleSet:
                                comments=None, skiprows=int(header), ndmin=2)
         except ValueError:
             return _read_rows(path)
-        labels = table[:, -1]
-        if (table.shape[1] >= 3 and np.isfinite(table).all()
-                and ((labels == 1.0) | (labels == -1.0)).all()):
-            return LabeledSampleSet(table[:, :-1], labels.astype(np.int64))
+        if table.shape[1] >= 3:
+            try:
+                return LabeledSampleSet(table[:, :-1], table[:, -1])
+            except ValueError:
+                pass
     return _read_rows(path)
 
 

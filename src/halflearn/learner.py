@@ -18,8 +18,7 @@ wedge.candidate_1.tv_check).
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,9 +70,6 @@ class LearnReport:
     samples_consumed: int
     config: RunConfig
     plan: BudgetPlan
-    # Wall time per stage; deliberately excluded from the JSON report so
-    # reruns stay byte-identical.
-    stage_seconds: dict = field(default_factory=dict, compare=False)
 
     @property
     def learned(self) -> bool:
@@ -199,21 +195,17 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
 
     consumed = plan.n_weak
     candidates: list[CandidateRecord] = []
-    stage_seconds: dict = {}
 
     def report(hypothesis=None, stage=None):
         return LearnReport(hypothesis=hypothesis,
                            candidates=tuple(candidates),
                            rejection_stage=stage, samples_consumed=consumed,
-                           config=cfg, plan=plan,
-                           stage_seconds=stage_seconds)
+                           config=cfg, plan=plan)
 
     # Stage 1: weak proper learn on the first slice.
-    clock = time.perf_counter()
     weak_slice = s.subset(slice(0, plan.n_weak))
     batch = default_batch_count(s.d, tau_stage, weak_slice.n)
     outcome = weak_proper_learn(weak_slice, cfg, rng, batch)
-    stage_seconds["weak"] = time.perf_counter() - clock
     if not outcome.learned:
         return report(stage=f"weak_learner.{outcome.rejected_by}")
     assert outcome.direction is not None
@@ -221,7 +213,6 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
                                       None))
 
     # Stage 2: localization rounds while the budget lasts.
-    clock = time.perf_counter()
     current = outcome.direction
     for t, (start, end) in enumerate(plan.round_slices):
         consumed += end - start
@@ -230,29 +221,23 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
         update = localized_update(round_set, current, round_delta(t), cfg,
                                   rng, batch)
         if not update.updated:
-            stage_seconds["localization"] = time.perf_counter() - clock
             return report(stage=f"round_{t}.{update.rejected_by}")
         assert update.new_direction is not None
         current = update.new_direction
         candidates.append(CandidateRecord(t + 1, current, round_delta(t + 1),
                                           None))
-    stage_seconds["localization"] = time.perf_counter() - clock
 
     # Stage 3: wedge-certify every candidate on the shared wedge slice.
-    clock = time.perf_counter()
     wedge_points = s.points[plan.wedge_slice[0]:plan.wedge_slice[1]]
     consumed += plan.wedge_slice[1] - plan.wedge_slice[0]
     for cand in candidates:
         for eta in _wedge_schedule(cand.delta, epsilon, eta_min):
             verdict = wedge_bound_test(wedge_points, cand.direction, eta)
             if not verdict.certified:
-                stage_seconds["wedge"] = time.perf_counter() - clock
                 return report(stage=(f"wedge.candidate_{cand.round_index}."
                                      f"{verdict.rejected_by}"))
-    stage_seconds["wedge"] = time.perf_counter() - clock
 
     # Stage 4: pick the candidate with the smallest held-out error.
-    clock = time.perf_counter()
     selection = s.subset(slice(plan.selection_slice[0],
                                plan.selection_slice[1]))
     consumed += selection.n
@@ -261,5 +246,4 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     candidates = [replace(c, empirical_error=err)
                   for c, err in zip(candidates, errors)]
     best = int(np.argmin(errors))  # argmin keeps the earliest round on ties
-    stage_seconds["selection"] = time.perf_counter() - clock
     return report(hypothesis=Halfspace(candidates[best].direction))

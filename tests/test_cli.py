@@ -82,27 +82,48 @@ class TestGenerate:
 
 
 class TestLearn:
-    def test_clean_gaussian_exits_zero(self, gaussian_csv, tmp_path):
+    def test_clean_gaussian_exits_zero(self, gaussian_csv, tmp_path, capsys):
         report_path = tmp_path / "report.json"
+        capsys.readouterr()
         code = run(["learn", "--in", str(gaussian_csv.with_suffix(".csv")),
                     "--out", str(report_path), "--seed", "7"])
         assert code == 0
+        # Per-stage times come from the benchmark's trace, not stderr.
+        assert capsys.readouterr() == ("verdict: learned\n", "")
         report = json.loads(report_path.read_text())
         assert report["verdict"] == "learned"
         assert len(report["input_csv_sha256"]) == 64
         assert report["hypothesis"] is not None
 
-    def test_rademacher_exits_three(self, tmp_path):
+    def test_rademacher_exits_three(self, tmp_path, capsys):
         base = tmp_path / "rad"
         run(["generate", "--d", "5", "--n", "340000", "--marginal",
              "rademacher", "--seed", "3", "--out", str(base)])
         report_path = tmp_path / "report.json"
+        capsys.readouterr()
         code = run(["learn", "--in", str(base.with_suffix(".csv")),
                     "--out", str(report_path), "--seed", "3"])
         assert code == 3
+        assert capsys.readouterr() == (
+            "verdict: rejected_non_gaussian (weak_learner.moment_test)\n", "")
         report = json.loads(report_path.read_text())
         assert report["verdict"] == "rejected_non_gaussian"
         assert report["rejection_stage"] == "weak_learner.moment_test"
+
+    def test_budget_failure_exits_one(self, tmp_path, capsys):
+        # A valid CSV too small for the budget plan; main maps the
+        # ValueError to exit 1.
+        base = tmp_path / "small"
+        run(["generate", "--d", "4", "--n", "4000", "--marginal", "gaussian",
+             "--seed", "1", "--out", str(base)])
+        capsys.readouterr()
+        report_path = tmp_path / "report.json"
+        code = run(["learn", "--in", str(base.with_suffix(".csv")), "--out",
+                    str(report_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: sample budget insufficient")
+        assert not report_path.exists()
 
     def test_truncated_row_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -190,12 +211,22 @@ class TestExperiment:
 
     def test_bad_spec_exits_one(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
+        out_path = tmp_path / "agg.csv"
+        # Values RunConfig refuses must fail before any task runs.
+        grid = {"d": [4], "n": [4000]}
+        refused = [{"grid": dict(grid, epsilon=[0.7]), "seeds": [1]},
+                   {"grid": grid, "tau": 2, "seeds": [1]},
+                   {"grid": grid, "seeds": [-1]},
+                   {"grid": dict(grid, epsilon=["0.05"]), "seeds": [1]}]
         for text in ["{not json", "[]", '{"grid": {}, "seeds": 3}',
                      '{"grid": 5, "seeds": [1]}', '{"grid": {}, "seeds": []}',
-                     '{"grid": {}, "seeds": [1, "a"]}']:
+                     '{"grid": {}, "seeds": [1, "a"]}',
+                     *map(json.dumps, refused)]:
             spec_path.write_text(text)
-            assert run(["experiment", "--spec", str(spec_path)]) == 1, text
+            assert run(["experiment", "--spec", str(spec_path), "--out",
+                        str(out_path)]) == 1, text
             assert "error: bad experiment spec: " in capsys.readouterr().err
+            assert not out_path.exists(), text
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_two(self, tmp_path, capsys, workers):
