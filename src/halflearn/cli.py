@@ -90,6 +90,9 @@ def cmd_learn(args) -> int:
 
 
 def _experiment_cells(spec: dict) -> list[dict]:
+    """The grid's cells, each with its MarginalFamily and noise model.
+    MarginalFamily raises TypeError for an unknown field, and both models
+    for a value of the wrong type."""
     grid = spec["grid"]
     def listify(key, default):
         value = grid.get(key, default)
@@ -100,8 +103,11 @@ def _experiment_cells(spec: dict) -> list[dict]:
     cells = []
     for idx, combo in enumerate(itertools.product(*axes)):
         d, n, epsilon, marginal, noise, opt = combo
+        family = MarginalFamily(**marginal) if isinstance(marginal, dict) \
+            else MarginalFamily(marginal)
         cells.append({"cell_index": idx, "d": d, "n": n, "epsilon": epsilon,
-                      "marginal": marginal, "noise": noise, "opt": opt})
+                      "family": family, "noise": noise, "opt": opt,
+                      "noise_model": make_noise(noise, opt)})
     return cells
 
 
@@ -111,23 +117,17 @@ def _seed_int(*entropy) -> int:
 
 
 def run_experiment_task(task: dict) -> dict:
-    """One grid cell run with task["config"]; crashes are captured in the
-    row."""
-    cfg = task["config"]
+    """One grid cell run with task["config"], task["family"] and
+    task["noise_model"]; crashes are captured in the row."""
+    cfg, marginal, noise = task["config"], task["family"], task["noise_model"]
     row = {key: task[key] for key in ("cell_index", "d", "n", "epsilon",
-                                      "marginal", "noise", "opt")}
-    row.update({"seed": cfg.seed, "verdict": "", "rejection_stage": "",
-                "rounds_completed": "", "heldout_error": "",
-                "disagreement_vs_planted": "", "samples_consumed": "",
-                "wall_time_s": "", "error": ""})
-    if isinstance(row["marginal"], dict):
-        row["marginal"] = row["marginal"].get("kind", "custom")
+                                      "noise", "opt")}
+    row.update({"marginal": marginal.kind, "seed": cfg.seed, "verdict": "",
+                "rejection_stage": "", "rounds_completed": "",
+                "heldout_error": "", "disagreement_vs_planted": "",
+                "samples_consumed": "", "wall_time_s": "", "error": ""})
     started = time.perf_counter()
     try:
-        m = task["marginal"]
-        marginal = MarginalFamily(**m) if isinstance(m, dict) \
-            else MarginalFamily(m)
-        noise = make_noise(task["noise"], task["opt"])
         cell = int(task["cell_index"])
         v_star = random_unit_vector(task["d"], np.random.default_rng(
             np.random.SeedSequence([cfg.seed, cell, 2])))
@@ -184,7 +184,7 @@ def cmd_experiment(args) -> int:
         tasks = [dict(cell, config=RunConfig(epsilon=cell["epsilon"],
                                              tau=tau, seed=seed))
                  for cell in cells for seed in seeds]
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO
     out_path = Path(args.out or spec.get("output_path", "experiment.csv"))
@@ -209,10 +209,8 @@ def cmd_experiment(args) -> int:
         errors = [r["heldout_error"] for r in accepted
                   if r["heldout_error"] != ""]
         mean_err = sum(errors) / len(errors) if errors else float("nan")
-        label = cell["marginal"] if not isinstance(cell["marginal"], dict) \
-            else cell["marginal"].get("kind", "custom")
-        print(f"cell {cell['cell_index']} ({label}, {cell['noise']}, "
-              f"opt={cell['opt']}): accept_rate={rate:.2f} "
+        print(f"cell {cell['cell_index']} ({cell['family'].kind}, "
+              f"{cell['noise']}, opt={cell['opt']}): accept_rate={rate:.2f} "
               f"mean_heldout_error={mean_err:.4f}")
     print(f"wrote {out_path} ({len(rows)} rows)")
     return EXIT_OK

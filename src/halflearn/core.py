@@ -16,8 +16,8 @@ NORM_FLOOR = 1e-12
 
 _UNIT_TOL = 1e-9
 
-# Highest moment degree with exact Gaussian moments (double factorials
-# stay exact in int64 and float64 up to here).
+# Highest moment degree. The Gaussian references up to here are exact
+# integers, at most 39!! (above int64), each rounded to float once.
 MAX_MOMENT_DEGREE = 20
 
 # Width of every tester tolerance, in z-score units: each moment band is
@@ -123,13 +123,14 @@ class RunConfig:
     def __post_init__(self):
         # numbers.Real refuses "0.05" and None, whose comparison would
         # raise TypeError; numbers.Integral admits NumPy integers and
-        # refuses 1.5.
+        # refuses 1.5, but admits True, which would be recorded as a seed.
         if not (isinstance(self.epsilon, numbers.Real)
                 and 0.0 < self.epsilon < 0.5):
             raise ValueError("epsilon must lie in (0, 1/2)")
         if not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < 1.0):
             raise ValueError("tau must lie in (0, 1)")
         if not (isinstance(self.seed, numbers.Integral)
+                and not isinstance(self.seed, bool)
                 and 0 <= self.seed < 2**64):
             raise ValueError("seed must be an integer in [0, 2^64)")
         if not (isinstance(self.k_cap, numbers.Integral)

@@ -10,6 +10,7 @@ at any feasible n and would reject true Gaussians too.)
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,8 +18,7 @@ import numpy as np
 
 from .core import MAX_MOMENT_DEGREE, SLACK, LabeledSampleSet
 from .moments import (MonomialExponent, batch_empirical_moments,
-                      enumerate_monomials, gaussian_moment,
-                      gaussian_moment_variance)
+                      gaussian_moments, monomial_exponents)
 
 MIN_SAMPLES = 100
 MAX_REPORTED_VIOLATIONS = 10
@@ -50,14 +50,13 @@ class MomentTestReport:
 
 @lru_cache(maxsize=16)
 def _reference_table(d: int, k: int):
-    """Monomials of degree 1..k over d variables with their exact Gaussian
-    moments and variances, as read-only arrays."""
-    monomials = tuple(enumerate_monomials(d, k))
-    reference = np.array([gaussian_moment(m) for m in monomials])
-    variance = np.array([gaussian_moment_variance(m) for m in monomials])
-    reference.setflags(write=False)
-    variance.setflags(write=False)
-    return monomials, reference, variance
+    """Exponents of the monomials of degree 1..k over d variables with
+    their exact Gaussian moments and variances, as read-only arrays."""
+    exponents = monomial_exponents(d, k)
+    reference, variance = gaussian_moments(exponents)
+    for table in (exponents, reference, variance):
+        table.setflags(write=False)
+    return exponents, reference, variance
 
 
 def moment_match_test(s: LabeledSampleSet, k: int) -> MomentTestReport:
@@ -68,20 +67,20 @@ def moment_match_test(s: LabeledSampleSet, k: int) -> MomentTestReport:
     """
     if s.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {s.n}")
-    if not 1 <= k <= MAX_MOMENT_DEGREE:
-        raise ValueError(f"k must lie in [1, {MAX_MOMENT_DEGREE}]")
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= MAX_MOMENT_DEGREE):
+        raise ValueError(f"k must be an integer in [1, {MAX_MOMENT_DEGREE}]")
 
-    monomials, reference, variance = _reference_table(s.d, k)
-    empirical = batch_empirical_moments(s.points, monomials)
+    exponents, reference, variance = _reference_table(s.d, k)
+    empirical = batch_empirical_moments(s.points, exponents)
     tolerance = SLACK * np.sqrt(variance / s.n)
 
-    violations = [
-        (idx, MomentViolation(monomials[idx], float(empirical[idx]),
-                              float(reference[idx]), float(tolerance[idx])))
-        for idx in np.flatnonzero(np.abs(empirical - reference)
-                                  > tolerance).tolist()
-    ]
-    # Worst first; ties fall back to graded-lex enumeration order.
-    violations.sort(key=lambda pair: (-pair[1].ratio, pair[0]))
+    gap = np.abs(empirical - reference)
+    violated = np.flatnonzero(gap > tolerance)
+    # Worst ratio first; ties fall back to graded-lex enumeration order.
+    ratio = gap[violated] / tolerance[violated]
+    worst = violated[np.argsort(-ratio, kind="stable")]
     return MomentTestReport(tuple(
-        v for _, v in violations[:MAX_REPORTED_VIOLATIONS]))
+        MomentViolation(MonomialExponent(tuple(exponents[idx].tolist())),
+                        float(empirical[idx]), float(reference[idx]),
+                        float(tolerance[idx]))
+        for idx in worst[:MAX_REPORTED_VIOLATIONS].tolist()))

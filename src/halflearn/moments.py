@@ -1,17 +1,19 @@
 """Monomial enumeration and moments of the standard Gaussian.
 
-The exact moments here are the reference side of every moment-matching
-test. The empirical side rests on E[x^a x^b] = E[x^(a+b)]: every
-monomial of degree <= k is one cell of the Gram matrix ``Z^T Z / n``,
-where the columns of ``Z`` are monomials of degree <= ceil(k / 2), so a
-single BLAS product per block of rows evaluates them all.
+A set of monomials is a ``(count, d)`` int64 array of exponents, one row
+per monomial. The exact moments here are the reference side of every
+moment-matching test. The empirical side rests on E[x^a x^b] =
+E[x^(a+b)]: every monomial of degree <= k is one cell of the Gram matrix
+``Z^T Z / n``, where the columns of ``Z`` are the monomials of degree <=
+ceil(k / 2), so a single BLAS product per block of rows evaluates them
+all.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +33,12 @@ _BLOCK_DOUBLES = 1 << 19
 # x86-64 with AVX-512); padded ones keep the bytes thread-independent.
 _WIDTH_MULTIPLE = 16
 
+# (2j - 1)!! for j = 0..MAX_MOMENT_DEGREE as Python ints, with (-1)!! = 1:
+# E[x^(2j)] = (2j - 1)!! for a standard Gaussian x. 39!! exceeds int64.
+_ODD_DOUBLE_FACTORIAL = np.array(
+    [math.prod(range(1, 2 * j, 2)) for j in range(MAX_MOMENT_DEGREE + 1)],
+    dtype=object)
+
 
 @dataclass(frozen=True)
 class MonomialExponent:
@@ -39,150 +47,140 @@ class MonomialExponent:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        # Checked before the cast, which would truncate 1.5 to 1;
+        # numbers.Integral admits NumPy integers.
+        if not all(isinstance(a, numbers.Integral) and a >= 0
+                   for a in self.exponents):
+            raise ValueError("exponents must be non-negative integers")
         exps = tuple(int(a) for a in self.exponents)
         if len(exps) < 1:
             raise ValueError("need at least one variable")
-        if any(a < 0 for a in exps):
-            raise ValueError("exponents must be non-negative")
         if sum(exps) < 1:
             raise ValueError("degree must be at least 1")
         object.__setattr__(self, "exponents", exps)
-
-    @property
-    def d(self) -> int:
-        return len(self.exponents)
 
     @property
     def degree(self) -> int:
         return sum(self.exponents)
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts``, lexicographically
-    descending, e.g. (2,0), (1,1), (0,2)."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _monomial_tree(d: int, k: int):
+    """Every monomial of degree <= k over d variables (k >= 1), the zero
+    row first, then graded and descending-lex, with each row's recipe.
+
+    The children of a row add one unit at each coordinate at or after the
+    row's last nonzero coordinate, so every nonzero row has exactly one
+    parent, and listing the children of each degree's rows in order keeps
+    the order. Returns ``(exponents, parents, coords)``: row ``j >= 1`` is
+    row ``parents[j - 1]`` plus one unit at ``coords[j - 1]``.
+    """
+    levels = [np.zeros((1, d), dtype=np.int64)]
+    parents, coords = [], []
+    last = np.zeros(1, dtype=np.int64)  # last nonzero coordinate per row
+    start = 0
+    for _ in range(k):
+        counts = d - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        first_child = np.cumsum(counts) - counts
+        coord = np.arange(len(parent)) - first_child[parent] + last[parent]
+        child = levels[-1][parent]
+        child[np.arange(len(parent)), coord] += 1
+        levels.append(child)
+        parents.append(parent + start)
+        coords.append(coord)
+        start += len(last)
+        last = coord
+    return (np.concatenate(levels), np.concatenate(parents),
+            np.concatenate(coords))
+
+
+def monomial_exponents(d: int, k: int) -> np.ndarray:
+    """Exponents of every monomial with 1 <= degree <= k, graded then
+    descending-lex, as a ``(C(d + k, k) - 1, d)`` int64 array."""
+    if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (d, k)):
+        raise ValueError("d and k must be positive integers")
+    return _monomial_tree(d, k)[0][1:]
 
 
 def enumerate_monomials(d: int, k: int) -> list[MonomialExponent]:
-    """All monomials with 1 <= degree <= k, graded then descending-lex.
+    """``monomial_exponents(d, k)`` as a list of ``MonomialExponent``."""
+    return [MonomialExponent(tuple(row))
+            for row in monomial_exponents(d, k).tolist()]
 
-    The count is C(d + k, k) - 1.
+
+def gaussian_moments(exponents) -> tuple[np.ndarray, np.ndarray]:
+    """E[x^a] and Var[x^a] under N(0, I) for each exponent row ``a``.
+
+    E[x^a] is the product of (a_i - 1)!! if every a_i is even, else 0, and
+    Var[x^a] = E[x^(2a)] - E[x^a]^2. Both are exact integers, each rounded
+    to float once.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if k < 1:
-        raise ValueError("k must be positive")
-    out = []
-    for degree in range(1, k + 1):
-        for exps in _compositions(degree, d):
-            out.append(MonomialExponent(exps))
-    assert len(out) == comb(d + k, k) - 1
-    return out
-
-
-def _double_factorial(a: int) -> int:
-    # (-1)!! == 1 by convention
-    result = 1
-    while a > 1:
-        result *= a
-        a -= 2
-    return result
-
-
-def _gaussian_moment_unchecked(exponents: Sequence[int]) -> float:
-    if any(a % 2 == 1 for a in exponents):
-        return 0.0
-    value = 1
-    for a in exponents:
-        value *= _double_factorial(a - 1)
-    return float(value)
-
-
-def gaussian_moment(m: MonomialExponent) -> float:
-    """E[x^m] under N(0, I): product of (a_i - 1)!! if all a_i even, else 0."""
-    if m.degree > MAX_MOMENT_DEGREE:
-        raise ValueError(f"degree {m.degree} exceeds the exact-arithmetic cap "
+    exponents = np.asarray(exponents)
+    top = int(exponents.sum(axis=1).max(initial=0))
+    if top > MAX_MOMENT_DEGREE:
+        raise ValueError(f"degree {top} exceeds the exact-arithmetic cap "
                          f"of {MAX_MOMENT_DEGREE}")
-    return _gaussian_moment_unchecked(m.exponents)
+    # A row of degree <= top has at most top nonzero exponents.
+    largest = -np.sort(-exponents, axis=1)[:, :top]
+    first = np.prod(np.where(largest % 2 == 0,
+                             _ODD_DOUBLE_FACTORIAL[largest // 2], 0), axis=1)
+    second = np.prod(_ODD_DOUBLE_FACTORIAL[largest], axis=1)
+    return (first.astype(np.float64),
+            (second - first * first).astype(np.float64))
 
 
-def gaussian_moment_variance(m: MonomialExponent) -> float:
-    """Var[x^m] under N(0, I), computed from the moment oracle itself."""
-    if m.degree > MAX_MOMENT_DEGREE:
-        raise ValueError(f"degree {m.degree} exceeds the exact-arithmetic cap "
-                         f"of {MAX_MOMENT_DEGREE}")
-    second = _gaussian_moment_unchecked(tuple(2 * a for a in m.exponents))
-    first = _gaussian_moment_unchecked(m.exponents)
-    return second - first * first
+def _rank(exponents: np.ndarray) -> np.ndarray:
+    """Row index of each exponent row in ``_monomial_tree``'s order.
 
-
-def _split(exps: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Halves ``(a, b)`` with ``a + b == exps``: ``a`` takes the first
-    ceil(degree / 2) units in coordinate order, ``b`` the rest."""
-    left = (sum(exps) + 1) // 2
-    a = []
-    for e in exps:
-        take = min(e, left)
-        a.append(take)
-        left -= take
-    return tuple(a), tuple(e - t for e, t in zip(exps, a))
-
-
-@lru_cache(maxsize=32)
-def _gram_plan(requested: tuple[tuple[int, ...], ...]):
-    """Columns of the monomial table and the Gram cell of each request.
-
-    Column 0 is the constant 1. Every other column is its parent column
-    times one coordinate (parent 0: the coordinate itself), and parents
-    precede children. Only the halves the requests need, and their chain
-    ancestors, become columns. Returns ``(steps, rows, cols)``: column j
-    is built from ``steps[j - 1] == (parent, coord)``, and request i is
-    Gram cell ``(rows[i], cols[i])`` (read-only arrays).
+    Row e of degree g comes after every row of lower degree, and after
+    each row of degree g that agrees with e up to coordinate i - 1 and is
+    larger there, that is, puts fewer units than e on coordinates i..d-1.
+    So the index sums, over i = 0..d-1, the monomials over the d - i
+    coordinates i..d-1 whose degree is below ``suffix[i]``, the units e
+    puts there (``suffix[0]`` is g).
     """
-    index: dict[tuple[int, ...], int] = {(0,) * len(requested[0]): 0}
-    steps: list[tuple[int, int]] = []
-
-    def ensure(exps: tuple[int, ...]) -> int:
-        found = index.get(exps)
-        if found is not None:
-            return found
-        last = max(i for i, a in enumerate(exps) if a > 0)
-        parent = ensure(exps[:last] + (exps[last] - 1,) + exps[last + 1:])
-        steps.append((parent, last))
-        index[exps] = len(steps)
-        return len(steps)
-
-    cells = [tuple(map(ensure, _split(exps))) for exps in requested]
-    rows, cols = np.array(cells, dtype=np.intp).T
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return tuple(steps), rows, cols
+    d = exponents.shape[1]
+    suffix = np.cumsum(exponents[:, ::-1], axis=1)[:, ::-1]
+    # below[r, v] = C(r - 1 + v, v): monomials over v variables with
+    # degree < r.
+    below = np.array([[math.comb(r - 1 + v, v) if r else 0
+                       for v in range(d + 1)]
+                      for r in range(int(suffix[:, 0].max()) + 1)],
+                     dtype=np.int64)
+    return below[suffix, np.arange(d, 0, -1)].sum(axis=1)
 
 
 def batch_empirical_moments(points: np.ndarray,
-                            monomials: Sequence[MonomialExponent]) -> np.ndarray:
+                            monomials: np.ndarray | Sequence[MonomialExponent]
+                            ) -> np.ndarray:
     """Empirical mean of every monomial over the rows of ``points``.
 
-    Each monomial x^(a+b) is read off the Gram matrix ``Z^T Z`` of a
-    monomial table ``Z`` whose columns hold x^a and x^b. ``Z`` is built
-    and multiplied one block of rows at a time.
+    ``monomials`` is an ``(m, d)`` array of exponents or a list of
+    ``MonomialExponent``. Each monomial x^(a+b) is read off the Gram
+    matrix ``Z^T Z`` of a monomial table ``Z`` whose columns hold every
+    monomial of degree <= ceil(max degree / 2). ``Z`` is built and
+    multiplied one block of rows at a time.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a non-empty (n, d) array")
     n, d = points.shape
-    for m in monomials:
-        if m.d != d:
-            raise ValueError(f"monomial over {m.d} variables, points have {d}")
-    if not monomials:
+    if not isinstance(monomials, np.ndarray):
+        monomials = np.array([m.exponents for m in monomials], dtype=np.int64)
+    if len(monomials) == 0:
         return np.zeros(0, dtype=np.float64)
-    steps, rows, cols = _gram_plan(tuple(m.exponents for m in monomials))
-    width = -(-(len(steps) + 1) // _WIDTH_MULTIPLE) * _WIDTH_MULTIPLE
+    if not (np.issubdtype(monomials.dtype, np.signedinteger)
+            and monomials.ndim == 2 and monomials.shape[1] == d
+            and monomials.min() >= 0 and monomials.sum(axis=1).min() >= 1):
+        raise ValueError(f"monomials must be (m, {d}) exponents, degree >= 1")
+    # x^(a+b) is Gram cell (a, b): a takes the first ceil(degree / 2)
+    # units in coordinate order, b the rest.
+    degree = monomials.sum(axis=1, keepdims=True)
+    before = np.cumsum(monomials, axis=1) - monomials
+    first = np.clip((degree + 1) // 2 - before, 0, monomials)
+    rows, cols = _rank(first), _rank(monomials - first)
+    _, parents, coords = _monomial_tree(d, (int(degree.max()) + 1) // 2)
+    width = -(-(len(parents) + 1) // _WIDTH_MULTIPLE) * _WIDTH_MULTIPLE
     block = max(1, _BLOCK_DOUBLES // width)
     # Table and coordinates are stored transposed, one contiguous row per
     # column, so every product streams through memory.
@@ -190,6 +188,7 @@ def batch_empirical_moments(points: np.ndarray,
     table[0] = 1.0
     xt = np.empty((d, table.shape[1]), dtype=np.float64)
     gram = np.zeros((width, width), dtype=np.float64)
+    steps = list(zip(parents.tolist(), coords.tolist()))
     for start in range(0, n, block):
         chunk = points[start:start + block]
         size = chunk.shape[0]

@@ -212,12 +212,17 @@ class TestExperiment:
     def test_bad_spec_exits_one(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         out_path = tmp_path / "agg.csv"
-        # Values RunConfig refuses must fail before any task runs.
+        # Values RunConfig, MarginalFamily or the noise model refuses must
+        # fail before any task runs. At opt 0 any noise kind is clean.
         grid = {"d": [4], "n": [4000]}
         refused = [{"grid": dict(grid, epsilon=[0.7]), "seeds": [1]},
                    {"grid": grid, "tau": 2, "seeds": [1]},
                    {"grid": grid, "seeds": [-1]},
-                   {"grid": dict(grid, epsilon=["0.05"]), "seeds": [1]}]
+                   {"grid": dict(grid, epsilon=["0.05"]), "seeds": [1]},
+                   {"grid": grid, "seeds": [True]},
+                   {"grid": dict(grid, marginal=["bogus"]), "seeds": [1]},
+                   {"grid": dict(grid, noise=["bogus"], opt=[0.1]),
+                    "seeds": [1]}]
         for text in ["{not json", "[]", '{"grid": {}, "seeds": 3}',
                      '{"grid": 5, "seeds": [1]}', '{"grid": {}, "seeds": []}',
                      '{"grid": {}, "seeds": [1, "a"]}',

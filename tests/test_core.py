@@ -154,6 +154,7 @@ class TestRunConfig:
         {"epsilon": 0.0}, {"epsilon": 1.0}, {"tau": 0.0}, {"k_cap": 1},
         {"tau": 1.0}, {"k_cap": 4.5}, {"seed": -1}, {"k_cap": 21},
         {"seed": 1.5}, {"epsilon": 0.5}, {"epsilon": "0.05"}, {"tau": None},
+        {"seed": True},
     ])
     def test_rejects_out_of_range(self, kwargs):
         base = {"epsilon": 0.05, "tau": 0.05, "seed": 0}

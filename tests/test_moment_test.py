@@ -50,8 +50,9 @@ class TestContract:
             moment_match_test(gaussian_set(99, 3, 0), 2)
 
     def test_k_capped_at_max_degree(self):
-        with pytest.raises(ValueError, match=r"\[1, 20\]"):
-            moment_match_test(gaussian_set(1000, 3, 0), 21)
+        for k in (21, 2.5):
+            with pytest.raises(ValueError, match=r"\[1, 20\]"):
+                moment_match_test(gaussian_set(1000, 3, 0), k)
 
     def test_deterministic(self):
         s = gaussian_set(5000, 4, 11)

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from halflearn.moments import (MonomialExponent, batch_empirical_moments,
-                               enumerate_monomials, gaussian_moment,
-                               gaussian_moment_variance)
+                               enumerate_monomials, gaussian_moments,
+                               monomial_exponents)
 from halflearn import moments
 
 EPS = np.finfo(np.float64).eps
@@ -48,32 +48,74 @@ class TestEnumerate:
             enumerate_monomials(0, 2)
         with pytest.raises(ValueError):
             enumerate_monomials(2, 0)
+        with pytest.raises(ValueError):
+            enumerate_monomials(2, 2.5)
+
+    @given(st.integers(1, 5), st.integers(1, 5))
+    def test_array_matches_brute_force(self, d, k):
+        # Oracle: every exponent vector in the box, sorted by degree and
+        # then in descending-lex order.
+        brute = sorted((exps for exps in itertools.product(range(k + 1),
+                                                           repeat=d)
+                        if 1 <= sum(exps) <= k),
+                       key=lambda exps: (sum(exps), [-a for a in exps]))
+        exponents = monomial_exponents(d, k)
+        assert exponents.dtype == np.int64
+        assert exponents.tolist() == [list(exps) for exps in brute]
+        points = np.random.default_rng(d * 10 + k).standard_normal((50, d))
+        as_objects = [MonomialExponent(exps) for exps in brute]
+        assert batch_empirical_moments(points, exponents).tobytes() == \
+            batch_empirical_moments(points, as_objects).tobytes()
+
+
+class TestMonomialExponent:
+    def test_refuses_non_integer_exponents(self):
+        # int() would truncate these to (1, 0).
+        for exps in ((1.5, 0.7), (np.float64(2.0), 1), ("1", 0)):
+            with pytest.raises(ValueError):
+                MonomialExponent(exps)
+
+    def test_accepts_numpy_integers(self):
+        m = MonomialExponent((np.int64(2), np.int32(0), 1))
+        assert m.exponents == (2, 0, 1)
+        assert all(type(a) is int for a in m.exponents)
+
+
+def double_factorial(a):
+    return math.prod(range(a, 0, -2))
 
 
 class TestGaussianMoment:
     def test_unit_variance(self):
-        assert gaussian_moment(MonomialExponent((2, 0))) == 1.0
+        assert gaussian_moments([(2, 0)])[0].tolist() == [1.0]
 
     def test_odd_exponent_vanishes(self):
-        assert gaussian_moment(MonomialExponent((1, 1))) == 0.0
+        assert gaussian_moments([(1, 1)])[0].tolist() == [0.0]
 
     def test_mixed_quartic(self):
         # E[x^4 y^2] = 3!! * 1!! = 3; cross-checked by Monte Carlo in the
         # acceptance suite at N = 1e7.
-        assert gaussian_moment(MonomialExponent((4, 2))) == 3.0
+        assert gaussian_moments([(4, 2)])[0].tolist() == [3.0]
 
     def test_permutation_invariance(self):
-        for perm in itertools.permutations((4, 2, 0)):
-            assert gaussian_moment(MonomialExponent(perm)) == 3.0
+        perms = list(itertools.permutations((4, 2, 0)))
+        assert gaussian_moments(perms)[0].tolist() == [3.0] * len(perms)
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
-            gaussian_moment(MonomialExponent((22, 0)))
+            gaussian_moments([(22, 0)])
 
     def test_variance_from_oracle(self):
         # Var[x^2] = E[x^4] - 1 = 2; Var[xy] = E[x^2 y^2] = 1
-        assert gaussian_moment_variance(MonomialExponent((2, 0))) == 2.0
-        assert gaussian_moment_variance(MonomialExponent((1, 1))) == 1.0
+        assert gaussian_moments([(2, 0), (1, 1)])[1].tolist() == [2.0, 1.0]
+
+    def test_exact_above_two_to_the_53(self):
+        # Var[x^20] = 39!! - (19!!)^2 and Var[x^10 y^10] = (19!!)^2 - (9!!)^4
+        # exceed 2^53; each is the exact integer rounded once.
+        want = [float(double_factorial(39) - double_factorial(19) ** 2),
+                float(double_factorial(19) ** 2 - double_factorial(9) ** 4)]
+        assert want[1] > 2.0 ** 53
+        assert gaussian_moments([(20, 0), (10, 10)])[1].tolist() == want
 
 
 class TestEmpiricalMoment:
@@ -120,11 +162,11 @@ def test_gaussian_concentration_at_desk_scale():
     rng = np.random.default_rng(2024)
     n = 1_000_000
     points = rng.standard_normal((n, 5))
-    monos = enumerate_monomials(5, 4)
-    emp = batch_empirical_moments(points, monos)
-    for m, value in zip(monos, emp):
-        band = 5.0 * np.sqrt(gaussian_moment_variance(m) / n)
-        assert abs(value - gaussian_moment(m)) <= band, m.exponents
+    exponents = monomial_exponents(5, 4)
+    emp = batch_empirical_moments(points, exponents)
+    reference, variance = gaussian_moments(exponents)
+    band = 5.0 * np.sqrt(variance / n)
+    assert np.all(np.abs(emp - reference) <= band)
 
 
 def naive_moments(points, monomials):
@@ -168,15 +210,15 @@ class TestGramEngine:
                 naive_moments(points, [m])[1][0]
 
     def test_single_degree_twenty_monomial_is_fast(self, rng):
-        # A basis of every monomial of degree <= 10 at d = 12 would have
-        # C(22, 10) = 646,646 columns; only the two halves are built.
-        points = rng.standard_normal((20_000, 12))
-        monos = [MonomialExponent((3, 2, 0, 1, 4, 0, 2, 1, 3, 2, 1, 1)),
-                 MonomialExponent((20,) + (0,) * 11)]
-        start = time.perf_counter()
-        got = [batch_empirical_moments(points, [m])[0] for m in monos]
-        assert time.perf_counter() - start < 1.0
-        assert_matches_naive(np.array(got), points, monos)
+        # Each request builds every monomial of degree <= 10 as a column:
+        # 66 at d = 2, 286 at d = 3.
+        for exps in ((20, 0), (11, 9), (7, 6, 7)):
+            points = rng.standard_normal((20_000, len(exps)))
+            monos = [MonomialExponent(exps)]
+            start = time.perf_counter()
+            got = batch_empirical_moments(points, monos)
+            assert time.perf_counter() - start < 1.0
+            assert_matches_naive(got, points, monos)
 
     def test_single_row(self, rng):
         points = rng.standard_normal((1, 3))

@@ -1,13 +1,16 @@
 """The benchmark's layer spans wrap program functions by module and
 attribute name; a renamed or removed function would leave its per-layer
-metrics at 0. This checks the tables only and installs no wrappers. The
-benchmark's probe also calls the moment API directly; its check must
-pass against this checkout."""
+metrics at 0. This checks the tables without installing the benchmark's
+wrappers, and checks the moment-kernel call that its product count
+reads. The benchmark's probe also calls the moment API directly; its
+check must pass against this checkout."""
 
 import importlib
 import importlib.util
+from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -39,3 +42,23 @@ def test_probe_moment_check_passes():
     # enumerate_monomials and batch_empirical_moments(points, monomials),
     # as perfbench/probe.py calls them.
     assert _load("probe").check_moments() is None
+
+
+def test_moment_test_feeds_one_kernel_call(monkeypatch):
+    # The benchmark's moments.* metrics wrap this name in moment_test and
+    # count products from len(argument 1); a call routed around it, or a
+    # smaller argument, would read 0 or too few without notice.
+    from halflearn import LabeledSampleSet, moment_test
+    real = moment_test.batch_empirical_moments
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moment_test, "batch_empirical_moments", counting)
+    points = np.random.default_rng(0).standard_normal((1000, 4))
+    moment_test.moment_match_test(
+        LabeledSampleSet(points, np.ones(1000, dtype=int)), 4)
+    assert len(calls) == 1
+    assert len(calls[0][1]) == comb(8, 4) - 1
