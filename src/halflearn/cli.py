@@ -22,7 +22,7 @@ from .core import Halfspace, RunConfig, UnitVector, empirical_error, \
 from .datagen import MARGINAL_KINDS, MarginalFamily, generate, make_noise
 from .io import CsvFormatError, file_sha256, json_dumps, read_samples_csv, \
     write_json, write_samples_csv
-from .learner import LEARNED, testable_learn
+from .learner import LEARNED, plan_budget, testable_learn
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -184,6 +184,8 @@ def cmd_experiment(args) -> int:
         tasks = [dict(cell, config=RunConfig(epsilon=cell["epsilon"],
                                              tau=tau, seed=seed))
                  for cell in cells for seed in seeds]
+        for cell in cells:  # a cell that cannot fund one round
+            plan_budget(cell["n"], cell["epsilon"])
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO

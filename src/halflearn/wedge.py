@@ -95,13 +95,12 @@ def _reference_masses(eta: float, b: int, t: float) -> np.ndarray:
     beyond the threshold, so their interior mass is zero); interior bins
     i = -B .. B get the clipped slab mass, and the whole vector sums to 1.
     """
-    ref = np.zeros(2 * b + 3, dtype=np.float64)
+    edges = np.clip(np.arange(-b, b + 2) * eta, -t, t)
+    cdf = np.array([_phi(x) for x in edges.tolist()])
+    ref = np.empty(2 * b + 3, dtype=np.float64)
     ref[0] = _phi(-t)
     ref[-1] = 1.0 - _phi(t)
-    for i in range(-b, b + 1):
-        lo = min(max(i * eta, -t), t)
-        hi = min(max((i + 1) * eta, -t), t)
-        ref[i + b + 1] = max(0.0, _phi(hi) - _phi(lo))
+    np.maximum(0.0, cdf[1:] - cdf[:-1], out=ref[1:-1])
     return ref
 
 
@@ -120,6 +119,8 @@ class WedgeVerdict:
     failed_slab_index: int | None      # slab index i for moment failures
     tv_discrepancy: float
     worst_slab_eigenvalue: float
+    slabs_checked: int                 # slabs the moment check examined
+    mass_checked: float                # their share of the points
     decomposition: SlabDecomposition
 
     @property
@@ -129,7 +130,7 @@ class WedgeVerdict:
 
 def _decompose(points: np.ndarray, v: UnitVector, eta: float):
     """Slab decomposition of checked points, with each point's bin offset
-    and margin v.x.
+    and the bin counts.
 
     Interior bin i holds v.x in [i eta, (i+1) eta) at offset i + B + 1;
     offsets 0 and 2B+2 are the lower/upper tails |v.x| >= T.
@@ -148,7 +149,34 @@ def _decompose(points: np.ndarray, v: UnitVector, eta: float):
         slab_masses=counts / points.shape[0],
         reference_masses=_reference_masses(eta, b, t),
     )
-    return decomposition, bins, margins
+    return decomposition, bins, counts
+
+
+def _slab_moments(points: np.ndarray, v: UnitVector, bins: np.ndarray,
+                  counts: np.ndarray, kept: np.ndarray):
+    """Top eigenvalue of the projected second moment and norm of the
+    projected mean, for each kept bin in ascending order.
+
+    The rows of the kept bins are grouped by one stable sort on their rank
+    among the kept bins (a small unsigned key, so NumPy radix-sorts it);
+    the raw sums X^T X and sum x of each group are then projected off v
+    as P S P and P m with P = I - v v^T.
+    """
+    rank = np.full(counts.size, kept.size,
+                   dtype=np.min_scalar_type(kept.size))
+    rank[kept] = np.arange(kept.size)
+    sizes = counts[kept]
+    order = np.argsort(rank[bins], kind="stable")[:int(sizes.sum())]
+    slabs = np.split(np.take(points, order, axis=0), np.cumsum(sizes)[:-1])
+    ones = np.ones(int(sizes.max()))
+    # A product with a ones vector sums the rows faster than np.add.reduce.
+    sums = np.stack([ones[:slab.shape[0]] @ slab for slab in slabs])
+    scatter = np.stack([slab.T @ slab for slab in slabs])
+    proj = np.eye(v.d) - np.multiply.outer(v.coords, v.coords)
+    second_moments = proj @ scatter @ proj / sizes[:, None, None]
+    tops = np.linalg.eigvalsh(second_moments)[:, -1]
+    mean_norms = np.linalg.norm(sums @ proj / sizes[:, None], axis=1)
+    return tops, mean_norms
 
 
 def wedge_bound_test(points: np.ndarray, v: UnitVector,
@@ -160,7 +188,8 @@ def wedge_bound_test(points: np.ndarray, v: UnitVector,
     SLACK * sqrt((2B+3)/n); (b) per slab with enough points, the
     projection onto the orthogonal complement of v has top second-moment
     eigenvalue <= 2 and mean norm <= 1. The first failing check is named
-    in rejected_by, slabs in ascending index order.
+    in rejected_by, slabs in ascending index order. The worst eigenvalue
+    and the coverage count the slabs up to and including a failing one.
     """
     _check_eta(eta)
     points = _as_points(points, v)
@@ -170,7 +199,7 @@ def wedge_bound_test(points: np.ndarray, v: UnitVector,
         raise ValueError(f"need at least {needed} samples at eta={eta}, "
                          f"got {n}")
 
-    decomposition, bins, margins = _decompose(points, v, eta)
+    decomposition, bins, counts = _decompose(points, v, eta)
     b = decomposition.b
     tv = float(np.abs(decomposition.slab_masses
                       - decomposition.reference_masses).sum())
@@ -178,31 +207,25 @@ def wedge_bound_test(points: np.ndarray, v: UnitVector,
     if tv > eta + allowance:
         return WedgeVerdict(rejected_by=TV_CHECK, failed_slab_index=None,
                             tv_discrepancy=tv, worst_slab_eigenvalue=0.0,
+                            slabs_checked=0, mass_checked=0.0,
                             decomposition=decomposition)
 
-    min_count = slab_min_count(v.d)
-    worst_eig = 0.0
-    order = np.argsort(bins, kind="stable")
-    boundaries = np.searchsorted(bins[order], np.arange(2 * b + 4))
-    for offset in range(2 * b + 3):
-        members = order[boundaries[offset]:boundaries[offset + 1]]
-        if members.shape[0] < min_count:
-            continue
-        block = points[members]
-        projected = block - np.multiply.outer(margins[members], v.coords)
-        second_moment = projected.T @ projected / members.shape[0]
-        top = float(np.linalg.eigvalsh(second_moment)[-1])
-        worst_eig = max(worst_eig, top)
-        mean_norm = float(np.linalg.norm(projected.mean(axis=0)))
-        if top > EIGENVALUE_BOUND + _CHECK_TOL or mean_norm > MEAN_BOUND + _CHECK_TOL:
-            return WedgeVerdict(rejected_by=SLAB_MOMENT_CHECK,
-                                failed_slab_index=offset - b - 1,
-                                tv_discrepancy=tv,
-                                worst_slab_eigenvalue=worst_eig,
-                                decomposition=decomposition)
-    return WedgeVerdict(rejected_by=None, failed_slab_index=None,
-                        tv_discrepancy=tv, worst_slab_eigenvalue=worst_eig,
-                        decomposition=decomposition)
+    kept = np.flatnonzero(counts >= slab_min_count(v.d))
+    tops = mean_norms = np.empty(0)
+    if kept.size:
+        tops, mean_norms = _slab_moments(points, v, bins, counts, kept)
+    failing = np.flatnonzero((tops > EIGENVALUE_BOUND + _CHECK_TOL)
+                             | (mean_norms > MEAN_BOUND + _CHECK_TOL))
+    failed = int(failing[0]) if failing.size else None
+    checked = kept.size if failed is None else failed + 1
+    return WedgeVerdict(
+        rejected_by=None if failed is None else SLAB_MOMENT_CHECK,
+        failed_slab_index=None if failed is None else int(kept[failed]) - b - 1,
+        tv_discrepancy=tv,
+        worst_slab_eigenvalue=float(tops[:checked].max(initial=0.0)),
+        slabs_checked=checked,
+        mass_checked=float(counts[kept[:checked]].sum() / n),
+        decomposition=decomposition)
 
 
 def verify_wedge_certificate(points: np.ndarray, v: UnitVector, eta: float,

@@ -60,6 +60,25 @@ class TestHandComputed:
         means = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
         assert np.allclose(np.median(means, axis=0), [0.0, 0.0])
 
+    def test_batch_means_match_signed_product(self, rng):
+        # Zeros of both signs and both labels: the batch means, and so the
+        # median and spread, are byte-equal to those of labels * points.
+        n, batches, seed = 330, 11, 4
+        points = rng.standard_normal((n, 3))
+        points[rng.random((n, 3)) < 0.2] = 0.0
+        points[rng.random((n, 3)) < 0.1] = -0.0
+        labels = rng.choice([-1, 1], size=n)
+        used = np.random.default_rng(seed).permutation(n)
+        means = (labels[used, None] * points[used]).reshape(
+            batches, n // batches, 3).mean(axis=1)
+        vector = np.median(means, axis=0)
+
+        est = estimate_chow(LabeledSampleSet(points, labels), batches,
+                            np.random.default_rng(seed))
+        assert est.vector.tobytes() == vector.tobytes()
+        assert est.per_coordinate_spread.tobytes() \
+            == np.median(np.abs(means - vector), axis=0).tobytes()
+
     def test_single_batch_is_plain_mean(self, rng):
         points = rng.standard_normal((40, 3))
         labels = rng.choice([-1, 1], size=40)

@@ -5,6 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from halflearn import cli
 from halflearn.cli import main
 from halflearn.io import read_samples_csv
 
@@ -212,10 +213,12 @@ class TestExperiment:
     def test_bad_spec_exits_one(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         out_path = tmp_path / "agg.csv"
-        # Values RunConfig, MarginalFamily or the noise model refuses must
-        # fail before any task runs. At opt 0 any noise kind is clean.
-        grid = {"d": [4], "n": [4000]}
-        refused = [{"grid": dict(grid, epsilon=[0.7]), "seeds": [1]},
+        # Values RunConfig, MarginalFamily, the noise model or the budget
+        # plan refuses must fail before any task runs. At opt 0 any noise
+        # kind is clean.
+        grid = {"d": [4], "n": [340000]}
+        refused = [{"grid": {"d": [4], "n": [40000]}, "seeds": [1, 2]},
+                   {"grid": dict(grid, epsilon=[0.7]), "seeds": [1]},
                    {"grid": grid, "tau": 2, "seeds": [1]},
                    {"grid": grid, "seeds": [-1]},
                    {"grid": dict(grid, epsilon=["0.05"]), "seeds": [1]},
@@ -245,10 +248,15 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_path.exists()
 
-    def test_crashing_cells_recorded_and_counted(self, tmp_path):
+    def test_crashing_cells_recorded_and_counted(self, tmp_path,
+                                                 monkeypatch):
         # 3-cell grid x 5 seeds -> 15 rows + header even though every run
-        # fails the budget check; failures are recorded in-row.
-        spec = {"grid": {"d": [5], "n": [4000, 5000, 6000],
+        # crashes in the learner; failures are recorded in-row.
+        def crash(*args):
+            raise RuntimeError("learner crashed")
+
+        monkeypatch.setattr(cli, "testable_learn", crash)
+        spec = {"grid": {"d": [5], "n": [340000, 350000, 360000],
                          "marginal": ["gaussian"]},
                 "seeds": [0, 1, 2, 3, 4]}
         spec_path = tmp_path / "spec.json"
@@ -258,11 +266,12 @@ class TestExperiment:
                     str(out_path)]) == 0
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 15
-        assert all("error" in line for line in lines[1:])
+        assert all("RuntimeError: learner crashed" in line
+                   for line in lines[1:])
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        spec = {"grid": {"d": [4], "n": [4000, 5000],
-                         "marginal": ["gaussian"]},
+        spec = {"grid": {"d": [4], "n": [340000],
+                         "marginal": ["gaussian", "rademacher"]},
                 "seeds": [0, 1]}
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))

@@ -62,3 +62,18 @@ def test_moment_test_feeds_one_kernel_call(monkeypatch):
         LabeledSampleSet(points, np.ones(1000, dtype=int)), 4)
     assert len(calls) == 1
     assert len(calls[0][1]) == comb(8, 4) - 1
+
+
+def test_slab_counter_matches_the_verdict():
+    # The benchmark's wedge.slabs_checked recounts the checked slabs from
+    # the decomposition's masses; on a certified call it must equal the
+    # tester's own count, or the metric drifts from the tester unseen.
+    from halflearn.core import normalize
+    from halflearn.wedge import wedge_bound_test
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((60_000, 12))
+    v = normalize(rng.standard_normal(12))
+    verdict = wedge_bound_test(points, v, 0.05)
+    assert verdict.certified and verdict.slabs_checked > 0
+    assert _load("tracing")._slabs_checked((points, v, 0.05), {}, verdict) \
+        == {"slabs": verdict.slabs_checked}

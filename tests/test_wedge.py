@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from halflearn import UnitVector
-from halflearn.core import normalize
-from halflearn.wedge import (_decompose, min_sample_count,
-                             slab_band_count, smallest_testable_eta,
+from halflearn.core import SLACK, normalize
+from halflearn.wedge import (EIGENVALUE_BOUND, MEAN_BOUND, SLAB_MOMENT_CHECK,
+                             TV_CHECK, _CHECK_TOL, _decompose, _phi,
+                             min_sample_count, slab_band_count,
+                             slab_min_count, smallest_testable_eta,
                              tail_threshold, verify_wedge_certificate,
                              wedge_bound_test)
 
@@ -75,6 +80,13 @@ class TestWedgeBound:
         assert verdict.rejected_by == "slab_moment_check"
         # Projected second moment along the scaled axis is ~9.
         assert verdict.worst_slab_eigenvalue >= 7.0
+        # Coverage counts the well-populated slabs up to the failing one.
+        counts = np.rint(verdict.decomposition.slab_masses * 100_000)
+        kept = np.flatnonzero(counts >= slab_min_count(5))
+        offset = verdict.failed_slab_index + verdict.decomposition.b + 1
+        assert verdict.slabs_checked == np.searchsorted(kept, offset) + 1
+        assert verdict.mass_checked == pytest.approx(
+            counts[kept[:verdict.slabs_checked]].sum() / 100_000)
 
     def test_two_point_margin_fails_tv_check(self):
         rng = np.random.default_rng(2)
@@ -84,6 +96,7 @@ class TestWedgeBound:
         verdict = wedge_bound_test(points, e(4), 0.1)
         assert not verdict.certified
         assert verdict.rejected_by == "tv_check"
+        assert verdict.slabs_checked == 0 and verdict.mass_checked == 0.0
 
     def test_rotation_equivariance(self):
         points = gaussian_points(20_000, 4, 9)
@@ -114,6 +127,91 @@ class TestWedgeBound:
         assert min_sample_count(eta) <= 100_000
         assert min_sample_count(eta * 0.8) > 100_000
         assert smallest_testable_eta(100) is None
+
+
+def reference_wedge_test(points, v, eta):
+    """The slab check as a loop over every bin: sort the rows by bin, then
+    project each well-populated slab's rows off v and take its moments.
+    Returns (rejected_by, failed_slab_index, tv, worst eigenvalue,
+    reference masses)."""
+    n = points.shape[0]
+    margins = points @ v.coords
+    b, t = slab_band_count(eta), tail_threshold(eta)
+    bins = np.clip(np.floor(margins / eta).astype(np.int64), -b - 1, b + 1)
+    bins[margins >= t] = b + 1
+    bins[margins <= -t] = -b - 1
+    bins += b + 1
+    ref = np.zeros(2 * b + 3)
+    ref[0], ref[-1] = _phi(-t), 1.0 - _phi(t)
+    for i in range(-b, b + 1):
+        lo = min(max(i * eta, -t), t)
+        hi = min(max((i + 1) * eta, -t), t)
+        ref[i + b + 1] = max(0.0, _phi(hi) - _phi(lo))
+    tv = float(np.abs(np.bincount(bins, minlength=2 * b + 3) / n
+                      - ref).sum())
+    if tv > eta + SLACK * math.sqrt((2 * b + 3) / n):
+        return TV_CHECK, None, tv, 0.0, ref
+    worst = 0.0
+    order = np.argsort(bins, kind="stable")
+    boundaries = np.searchsorted(bins[order], np.arange(2 * b + 4))
+    for offset in range(2 * b + 3):
+        members = order[boundaries[offset]:boundaries[offset + 1]]
+        if members.shape[0] < slab_min_count(v.d):
+            continue
+        projected = points[members] - np.multiply.outer(margins[members],
+                                                        v.coords)
+        top = float(np.linalg.eigvalsh(
+            projected.T @ projected / members.shape[0])[-1])
+        worst = max(worst, top)
+        if (top > EIGENVALUE_BOUND + _CHECK_TOL or np.linalg.norm(
+                projected.mean(axis=0)) > MEAN_BOUND + _CHECK_TOL):
+            return SLAB_MOMENT_CHECK, offset - b - 1, tv, worst, ref
+    return None, None, tv, worst, ref
+
+
+class TestReferenceEquivalence:
+    @given(d=st.integers(2, 6),
+           eta=st.floats(0.002, 0.2),
+           shape=st.sampled_from(["gaussian", "boundary", "shifted"]),
+           factor=st.floats(0.3, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_slab_loop(self, d, eta, shape, factor, seed):
+        rng = np.random.default_rng(seed)
+        v = normalize(rng.standard_normal(d))
+        points = rng.standard_normal((max(20_000, min_sample_count(eta)), d))
+        margins = points @ v.coords
+        orthogonal = points - np.multiply.outer(margins, v.coords)
+        if shape == "boundary":
+            # Scale the part orthogonal to v inside a band around the
+            # boundary, where the slabs are thin.
+            near = np.abs(margins) < 5 * eta
+            points[near] += (factor - 1.0) * orthogonal[near]
+        elif shape == "shifted":
+            points += factor * rng.standard_normal(d) / math.sqrt(d)
+        verdict = wedge_bound_test(points, v, eta)
+        rejected_by, failed, tv, worst, ref = reference_wedge_test(points, v,
+                                                                   eta)
+        assert verdict.rejected_by == rejected_by
+        assert verdict.failed_slab_index == failed
+        assert verdict.tv_discrepancy == tv
+        assert verdict.decomposition.reference_masses.tobytes() \
+            == ref.tobytes()
+        assert verdict.worst_slab_eigenvalue == pytest.approx(worst,
+                                                              rel=1e-12)
+
+
+class TestCoverage:
+    def test_own_scale_checks_no_slab_and_coarse_scale_most_mass(self):
+        # At d=12 a slab needs 660 points; with 60k rows no slab of width
+        # 0.01 holds that many, while at 0.05 the central slabs do.
+        points = gaussian_points(60_000, 12, 0)
+        fine = wedge_bound_test(points, e(12), 0.01)
+        coarse = wedge_bound_test(points, e(12), 0.05)
+        assert fine.certified and coarse.certified
+        assert fine.slabs_checked == 0 and fine.mass_checked == 0.0
+        assert fine.worst_slab_eigenvalue == 0.0
+        assert coarse.slabs_checked > 0
+        assert coarse.mass_checked > 0.5
 
 
 class TestCertificateStress:
