@@ -8,13 +8,23 @@ row ``x1,...,xd,y`` is accepted on read.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import multiprocessing
+import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .core import LabeledSampleSet
+
+# Smallest byte range a worker process reads; a file under twice this is
+# one range, read without forking.
+_MIN_RANGE_BYTES = 4 << 20
+# Rows formatted per block by write_samples_csv.
+_WRITE_ROWS = 1 << 16
 
 
 class CsvFormatError(ValueError):
@@ -33,20 +43,30 @@ def _is_header(fields: list[str]) -> bool:
 
 def write_samples_csv(path: str | Path, s: LabeledSampleSet,
                       header: bool = False) -> None:
+    """Shortest round-trip ``repr`` of every coordinate, formatted a column
+    at a time over blocks of ``_WRITE_ROWS`` rows, which bounds the Python
+    floats alive at once."""
     path = Path(path)
     with path.open("w") as fh:
         if header:
             fh.write(",".join(f"x{i + 1}" for i in range(s.d)) + ",y\n")
-        for row, label in zip(s.points, s.labels):
-            fh.write(",".join(repr(float(v)) for v in row)
-                     + f",{int(label)}\n")
+        for lo in range(0, s.n, _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            columns = [map(repr, column)
+                       for column in s.points[lo:hi].T.tolist()]
+            fh.writelines(",".join(row) + "\n" for row in
+                          zip(*columns, map(str, s.labels[lo:hi].tolist())))
 
 
 def read_samples_csv(path: str | Path) -> LabeledSampleSet:
     """Parse a sample CSV; raises CsvFormatError naming the first bad line.
 
-    One ``np.loadtxt`` pass reads a well-formed file. A file it refuses,
-    or whose table ``LabeledSampleSet`` refuses, goes to the row-by-row
+    A well-formed file is cut into byte ranges just after a newline, one
+    per CPU but none smaller than ``_MIN_RANGE_BYTES``. ``np.loadtxt``
+    reads range 0 here and the others in forked workers, and the rows are
+    joined in file order, so the result does not depend on the CPU count.
+    A file that ``np.loadtxt`` refuses, whose ranges differ in width, or
+    whose table ``LabeledSampleSet`` refuses, goes to the row-by-row
     parser, which accepts whatever ``float()`` accepts (``1_0``, say) and
     names the first bad line.
     """
@@ -59,16 +79,128 @@ def read_samples_csv(path: str | Path) -> LabeledSampleSet:
             line.strip() for line in fh)
     if has_rows:
         try:
-            table = np.loadtxt(path, dtype=np.float64, delimiter=",",
-                               comments=None, skiprows=int(header), ndmin=2)
+            tables = _parse_ranges(path, int(header))
         except ValueError:
             return _read_rows(path)
-        if table.shape[1] >= 3:
+        # A range of blank lines has no rows, and loadtxt gives it width 1.
+        tables = [table for table in tables if len(table)]
+        widths = {table.shape[1] for table in tables}
+        if len(widths) == 1 and widths.pop() >= 3:
             try:
-                return LabeledSampleSet(table[:, :-1], table[:, -1])
+                return _join(tables)
             except ValueError:
                 pass
     return _read_rows(path)
+
+
+def _parse_ranges(path: Path, skiprows: int) -> list[np.ndarray]:
+    """One ``np.loadtxt`` table per byte range, in file order.
+
+    Workers are forked, not spawned: a spawned one would spend about
+    0.15 s importing NumPy. A worker runs only ``loadtxt`` and sends its
+    table back, so the threads a fork leaves behind (OpenBLAS's) are
+    never needed. Workers are plain processes, not a
+    ``ProcessPoolExecutor``, whose helper threads wait here for the GIL
+    that ``loadtxt`` holds; on a 2-core VM that held a worker's start
+    back by up to 0.3 s. A daemonic process, such as a
+    ``multiprocessing.Pool`` worker, may not have children, so it reads
+    the file as one range.
+    """
+    size = path.stat().st_size
+    count = 1
+    if ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+            and hasattr(os, "sched_getaffinity")):
+        count = max(1, min(len(os.sched_getaffinity(0)),
+                           size // _MIN_RANGE_BYTES))
+    starts = [0]
+    with path.open("rb") as fh:
+        for i in range(1, count):
+            # Every newline ends a line, alone or as the end of a CRLF.
+            fh.seek(max(size * i // count, starts[-1]))
+            while (chunk := fh.readline(1 << 16)) and chunk[-1:] != b"\n":
+                pass
+            starts.append(fh.tell())
+    ranges = [(start, end) for start, end in zip(starts, starts[1:] + [size])
+              if start < end]
+    workers = []
+    try:
+        for start, end in ranges[1:]:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.get_context("fork").Process(
+                target=_send_range, args=(sender, path, start, end))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        tables = [_parse_range(path, *ranges[0], skiprows)]
+        for _, receiver in workers:
+            table = receiver.recv()
+            if isinstance(table, Exception):
+                raise table
+            tables.append(table)
+        return tables
+    finally:
+        # Stops the workers still parsing when a range was refused.
+        for worker, receiver in workers:
+            receiver.close()
+            worker.terminate()
+            worker.join()
+
+
+def _send_range(sender, path: Path, start: int, end: int) -> None:
+    """Worker: send the range's table, or the exception that stopped it."""
+    try:
+        result = _parse_range(path, start, end, 0)
+    except Exception as exc:
+        result = exc
+    sender.send(result)
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of a file as a raw stream."""
+
+    def __init__(self, fh, start: int, end: int):
+        fh.seek(start)
+        self._fh, self._left = fh, end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            count = self._fh.readinto(view[:self._left])
+        self._left -= count
+        return count
+
+
+def _parse_range(path: Path, start: int, end: int,
+                 skiprows: int) -> np.ndarray:
+    """``np.loadtxt`` on bytes [start, end) of the file, decoded with the
+    encoding and universal newlines that ``np.loadtxt(path)`` uses."""
+    with path.open("rb", buffering=0) as fh, \
+            io.TextIOWrapper(_ByteRange(fh, start, end)) as text, \
+            warnings.catch_warnings():
+        # A range of blank lines adds no rows; it is no error.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        return np.loadtxt(text, dtype=np.float64, delimiter=",",
+                          comments=None, skiprows=skiprows, ndmin=2)
+
+
+def _join(tables: list[np.ndarray]) -> LabeledSampleSet:
+    """Points and labels in table order; each table is popped from
+    ``tables``, and so freed, once its rows are copied."""
+    n = sum(len(table) for table in tables)
+    points = np.empty((n, tables[0].shape[1] - 1))
+    labels = np.empty(n)
+    row = 0
+    while tables:
+        table = tables.pop(0)
+        points[row:row + len(table)] = table[:, :-1]
+        labels[row:row + len(table)] = table[:, -1]
+        row += len(table)
+        del table
+    return LabeledSampleSet(points, labels)
 
 
 def _read_rows(path: Path) -> LabeledSampleSet:

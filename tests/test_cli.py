@@ -1,11 +1,12 @@
 import json
+import os
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
 
-from halflearn import cli
+from halflearn import cli, io
 from halflearn.cli import main
 from halflearn.io import read_samples_csv
 
@@ -173,14 +174,22 @@ class TestLearn:
                     str(tmp_path / "r.json")])
         assert code == 1
 
-    def test_report_bytes_reproducible(self, gaussian_csv, tmp_path):
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        for out in (first, second):
-            assert run(["learn", "--in",
-                        str(gaussian_csv.with_suffix(".csv")), "--out",
-                        str(out), "--seed", "7"]) == 0
-        assert first.read_bytes() == second.read_bytes()
+    def test_report_bytes_reproducible(self, gaussian_csv, tmp_path, capsys,
+                                       monkeypatch):
+        # One CPU reads the file as one byte range, three CPUs as three.
+        csv = gaussian_csv.with_suffix(".csv")
+        assert csv.stat().st_size >= 3 * io._MIN_RANGE_BYTES
+        reports = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            out = tmp_path / f"{cpus}.json"
+            capsys.readouterr()
+            assert run(["learn", "--in", str(csv), "--out", str(out),
+                        "--seed", "7"]) == 0
+            assert capsys.readouterr().err == ""
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestExperiment:

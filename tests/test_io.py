@@ -1,3 +1,6 @@
+import contextlib
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -9,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 from halflearn import LabeledSampleSet, io
 from halflearn.io import (CsvFormatError, file_sha256, json_dumps,
                           read_samples_csv, write_samples_csv)
+
+from conftest import stdout_with_blas_threads
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
 
@@ -39,6 +44,39 @@ def csv_path(tmp_path_factory):
 def same_bytes(a: LabeledSampleSet, b: LabeledSampleSet) -> bool:
     return (a.points.tobytes() == b.points.tobytes()
             and a.labels.tobytes() == b.labels.tobytes())
+
+
+@contextlib.contextmanager
+def in_ranges(cpus=4, min_bytes=16):
+    """Reads files as up to ``cpus`` byte ranges of at least ``min_bytes``;
+    yields the list of range counts of the reads that parsed every range."""
+    counts = []
+    parse_ranges = io._parse_ranges
+
+    def spy(*args):
+        tables = parse_ranges(*args)
+        counts.append(len(tables))
+        return tables
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_MIN_RANGE_BYTES", min_bytes)
+        patch.setattr(os, "sched_getaffinity",
+                      lambda pid: set(range(cpus)))
+        patch.setattr(io, "_parse_ranges", spy)
+        yield counts
+
+
+def per_row_csv(s: LabeledSampleSet, header: bool) -> str:
+    """Reference formatter: one ``repr`` per value, one row at a time."""
+    lines = [",".join(f"x{i + 1}" for i in range(s.d)) + ",y"] * header
+    lines += [",".join(repr(float(v)) for v in row) + f",{int(label)}"
+              for row, label in zip(s.points, s.labels)]
+    return "".join(line + "\n" for line in lines)
+
+
+def read_bytes(path) -> tuple[bytes, bytes]:
+    s = read_samples_csv(path)
+    return s.points.tobytes(), s.labels.tobytes()
 
 
 class TestCsvRoundTrip:
@@ -73,6 +111,13 @@ class TestCsvRoundTrip:
         write_samples_csv(csv_path, s, header=header)
         assert same_bytes(read_samples_csv(csv_path), s)
         assert same_bytes(io._read_rows(csv_path), s)
+
+    @given(s=sample_sets(), header=st.booleans())
+    def test_writer_matches_per_row_formatter(self, csv_path, s, header):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io, "_WRITE_ROWS", 3)
+            write_samples_csv(csv_path, s, header=header)
+        assert csv_path.read_text() == per_row_csv(s, header)
 
     def test_float_syntax_outside_loadtxt_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -188,6 +233,118 @@ class TestCsvErrors:
         with pytest.raises(CsvFormatError) as excinfo:
             read_samples_csv(path)
         assert str(excinfo.value) == f"line 100002: {message}"
+
+
+class TestByteRanges:
+    @given(s=sample_sets(), header=st.booleans())
+    @example(s=LabeledSampleSet(
+        np.array([[5e-324, -0.0], [FLOAT_MAX, -FLOAT_MAX],
+                  [0.0, -2.2250738585072014e-308]]), np.array([1, -1, 1])),
+        header=False)
+    def test_same_bytes_as_one_range(self, csv_path, s, header):
+        write_samples_csv(csv_path, s, header=header)
+        one = read_samples_csv(csv_path)
+        with in_ranges(cpus=64, min_bytes=1) as counts:
+            assert same_bytes(read_samples_csv(csv_path), one)
+        assert same_bytes(one, s)
+        assert counts[0] >= min(3, s.n + header)
+
+    @pytest.mark.parametrize("layout", [
+        "header", "crlf", "blank-after-every-row", "no-final-newline", "cr",
+        "blank-range"])
+    def test_line_layouts(self, rng, tmp_path, monkeypatch, layout):
+        s = sample_set(rng, n=40, d=3)
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, s, header=layout == "header")
+        text = path.read_text()
+        if layout == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif layout == "blank-after-every-row":
+            text = text.replace("\n", "\n\n")
+        elif layout == "no-final-newline":
+            text = text.rstrip("\n")
+        elif layout == "cr":
+            text = text.replace("\n", "\r")
+        elif layout == "blank-range":
+            lines = text.splitlines(keepends=True)
+            text = "".join(lines[:20]) + "\n" * len(text) + "".join(lines[20:])
+        path.write_bytes(text.encode())
+        one = read_samples_csv(path)
+
+        def refuse(path):
+            raise AssertionError("the ranges alone read a well-formed file")
+
+        monkeypatch.setattr(io, "_read_rows", refuse)
+        with in_ranges() as counts, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bytes(read_samples_csv(path), one)
+        assert same_bytes(one, s)
+        # Without a newline the file cannot be cut.
+        assert (counts == [1]) if layout == "cr" else (counts[0] >= 3)
+
+    @pytest.mark.parametrize("last, message", [
+        ("0.5,oops,0.5,1", "non-numeric field"),
+        ("0.5,inf,0.5,1", "non-finite field"),
+        ("0.5,0.5,0.5,0", "label must be -1 or 1, got 0"),
+    ])
+    def test_bad_last_range_names_its_line(self, rng, tmp_path, last,
+                                           message):
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, sample_set(rng, n=300, d=3), header=True)
+        path.write_text(path.read_text() + last + "\n")
+        with pytest.raises(CsvFormatError) as one:
+            read_samples_csv(path)
+        with in_ranges(), pytest.raises(CsvFormatError) as ranged:
+            read_samples_csv(path)
+        assert str(one.value) == f"line 302: {message}"
+        assert str(ranged.value) == str(one.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,2.0,1\n" * 50 + "1.0,2.0,3.0,1\n" * 35,
+         "line 51: expected 3 fields, got 4"),
+        ("1.0,2.0,3.0,1\n" * 50 + "1.0,1\n" * 114,
+         "line 51: expected 4 fields, got 2"),
+    ])
+    def test_ranges_of_different_widths_go_to_the_row_parser(
+            self, tmp_path, text, message):
+        # The cut lands in row 50, so each range is one width.
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with in_ranges(cpus=2) as counts, \
+                pytest.raises(CsvFormatError) as excinfo:
+            read_samples_csv(path)
+        assert counts == [2]
+        assert str(excinfo.value) == message
+
+    def test_worker_error_other_than_value_error_propagates(
+            self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, sample_set(rng, n=40, d=3))
+        parse_range = io._parse_range
+
+        def fail_past_range_0(path, start, end, skiprows):
+            if start:
+                raise OSError("device gone")
+            return parse_range(path, start, end, skiprows)
+
+        monkeypatch.setattr(io, "_parse_range", fail_past_range_0)
+        with in_ranges(), pytest.raises(OSError, match="device gone"):
+            read_samples_csv(path)
+
+    def test_read_in_a_daemonic_pool_worker(self, rng, tmp_path):
+        path = tmp_path / "s.csv"
+        s = sample_set(rng, n=200, d=3)
+        write_samples_csv(path, s)
+        # Forked, so the daemonic worker keeps the patched range settings.
+        with in_ranges(), multiprocessing.get_context("fork").Pool(1) as pool:
+            points, labels = pool.apply_async(read_bytes, (path,)).get(60)
+        assert (points, labels) == (s.points.tobytes(), s.labels.tobytes())
+
+    def test_import_halflearn_loads_neither_io_nor_a_process_pool(self):
+        script = ("import sys, halflearn; print(sorted(name for name in "
+                  "('halflearn.io', 'concurrent.futures', 'multiprocessing') "
+                  "if name in sys.modules))")
+        assert stdout_with_blas_threads(script, 1) == b"[]\n"
 
 
 class TestJson:
