@@ -44,19 +44,13 @@ def estimate_chow(s: LabeledSampleSet, batch_count: int,
 
     Samples are shuffled by ``rng`` and split into ``batch_count``
     contiguous equal batches, dropping the remainder; each coordinate is
-    the median of the batch means. ``batch_count`` must be odd; with a
-    single batch the estimate is exactly the sample mean.
+    the median of the batch means. ``batch_count`` must be odd.
     """
     if batch_count < 1 or batch_count % 2 == 0:
         raise ValueError("batch_count must be odd and positive")
     if s.n < 10 * batch_count:
         raise ValueError(f"need at least {10 * batch_count} samples "
                          f"for {batch_count} batches, got {s.n}")
-
-    if batch_count == 1:
-        vector = np.mean(s.labels[:, None] * s.points, axis=0)
-        return ChowEstimate(vector=vector, batch_count=1,
-                            per_coordinate_spread=np.zeros(s.d))
 
     # Seeded shuffle guards against pre-sorted inputs while staying
     # reproducible.

@@ -21,7 +21,7 @@ from .core import Halfspace, RunConfig, UnitVector, empirical_error, \
     predict_batch, random_unit_vector
 from .datagen import MARGINAL_KINDS, MarginalFamily, generate, make_noise
 from .io import CsvFormatError, file_sha256, json_dumps, read_samples_csv, \
-    write_json, write_samples_csv
+    write_samples_csv
 from .learner import LEARNED, plan_budget, testable_learn
 
 EXIT_OK = 0
@@ -53,14 +53,14 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_samples_csv(out.with_suffix(".csv"), s, header=args.header)
-    write_json(out.with_suffix(".json"), {
+    out.with_suffix(".json").write_text(json_dumps({
         "d": args.d,
         "n": args.n,
         "marginal": marginal.to_json_dict(),
         "noise": noise.to_json_dict(),
         "seed": args.seed,
         "v_star": v_star.coords.tolist(),
-    })
+    }))
     print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
     return EXIT_OK
 

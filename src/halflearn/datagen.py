@@ -73,7 +73,6 @@ class MarginalFamily:
 class NoiseModel:
     kind: str
     opt: float = 0.0
-    wedge_direction: UnitVector | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -82,22 +81,16 @@ class NoiseModel:
             raise ValueError("opt must lie in [0, 1/2)")
         if (self.opt == 0.0) != (self.kind == CLEAN):
             raise ValueError("opt is zero exactly for clean noise")
-        if self.wedge_direction is not None and self.kind != WEDGE_FLIP:
-            raise ValueError("wedge_direction only applies to wedge-flip")
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "opt": self.opt}
-        if self.wedge_direction is not None:
-            out["wedge_direction"] = self.wedge_direction.coords.tolist()
-        return out
+        return {"kind": self.kind, "opt": self.opt}
 
 
-def make_noise(kind: str, opt: float,
-               wedge_direction: UnitVector | None = None) -> NoiseModel:
+def make_noise(kind: str, opt: float) -> NoiseModel:
     """Noise model for a requested level; opt = 0 collapses to clean."""
     if opt == 0.0:
         return NoiseModel(CLEAN)
-    return NoiseModel(kind, opt, wedge_direction)
+    return NoiseModel(kind, opt)
 
 
 def _draw_points(d: int, n: int, marginal: MarginalFamily,
@@ -156,9 +149,7 @@ def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
         count = int(noise.opt * n)
         flip[np.argsort(np.abs(margins), kind="stable")[:count]] = True
     else:  # WEDGE_FLIP
-        direction = noise.wedge_direction
-        if direction is None:
-            direction = random_unit_vector(d, rng)
+        direction = random_unit_vector(d, rng)
         count = int(noise.opt * n)
         quantile = np.quantile(np.abs(margins), noise.opt)
         pool = np.flatnonzero(np.abs(margins) <= quantile)

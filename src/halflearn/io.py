@@ -71,25 +71,19 @@ def read_samples_csv(path: str | Path) -> LabeledSampleSet:
     names the first bad line.
     """
     path = Path(path)
-    with path.open("r") as fh:
-        first = fh.readline().strip()
-        header = _is_header(first.split(","))
-        # loadtxt warns on a file without rows; only the row parser sees one.
-        has_rows = (bool(first) and not header) or any(
-            line.strip() for line in fh)
-    if has_rows:
-        try:
-            tables = _parse_ranges(path, int(header))
-        except ValueError:
-            return _read_rows(path)
+    # A byte that is not text fails loadtxt (UnicodeDecodeError is a
+    # ValueError), and the row parser names its line.
+    with path.open("r", errors="replace") as fh:
+        header = _is_header(fh.readline().split(","))
+    try:
         # A range of blank lines has no rows, and loadtxt gives it width 1.
-        tables = [table for table in tables if len(table)]
+        tables = [table for table in _parse_ranges(path, int(header))
+                  if len(table)]
         widths = {table.shape[1] for table in tables}
         if len(widths) == 1 and widths.pop() >= 3:
-            try:
-                return _join(tables)
-            except ValueError:
-                pass
+            return _join(tables)
+    except ValueError:
+        pass
     return _read_rows(path)
 
 
@@ -121,8 +115,9 @@ def _parse_ranges(path: Path, skiprows: int) -> list[np.ndarray]:
             while (chunk := fh.readline(1 << 16)) and chunk[-1:] != b"\n":
                 pass
             starts.append(fh.tell())
+    # A 0-byte file is one empty range.
     ranges = [(start, end) for start, end in zip(starts, starts[1:] + [size])
-              if start < end]
+              if start < end] or [(0, 0)]
     workers = []
     try:
         for start, end in ranges[1:]:
@@ -204,11 +199,12 @@ def _join(tables: list[np.ndarray]) -> LabeledSampleSet:
 
 
 def _read_rows(path: Path) -> LabeledSampleSet:
-    """Row-by-row parser: blank lines and a header on line 1 are skipped."""
+    """Row-by-row parser: blank lines and a header on line 1 are skipped.
+    A byte that is not text makes its field non-numeric."""
     points: list[list[float]] = []
     labels: list[int] = []
     d: int | None = None
-    with path.open("r") as fh:
+    with path.open("r", errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -248,10 +244,6 @@ def _read_rows(path: Path) -> LabeledSampleSet:
 def json_dumps(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json_dumps(obj))
 
 
 def file_sha256(path: str | Path) -> str:

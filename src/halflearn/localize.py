@@ -53,7 +53,10 @@ def acceptance_probabilities(margins: np.ndarray, sigma: float) -> np.ndarray:
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (0, 1)")
     margins = np.asarray(margins, dtype=np.float64)
-    return np.exp(-margins * margins * (sigma**-2 - 1.0) / 2.0)
+    # A huge margin's square overflows to inf, and exp(-inf) = 0 is its
+    # probability in the limit.
+    with np.errstate(over="ignore"):
+        return np.exp(-margins * margins * (sigma**-2 - 1.0) / 2.0)
 
 
 def rejection_sample(s: LabeledSampleSet, v: UnitVector, sigma: float,

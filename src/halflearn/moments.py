@@ -182,23 +182,22 @@ def batch_empirical_moments(points: np.ndarray,
     _, parents, coords = _monomial_tree(d, (int(degree.max()) + 1) // 2)
     width = -(-(len(parents) + 1) // _WIDTH_MULTIPLE) * _WIDTH_MULTIPLE
     block = max(1, _BLOCK_DOUBLES // width)
-    # Table and coordinates are stored transposed, one contiguous row per
-    # column, so every product streams through memory.
+    # The table is stored transposed, one contiguous row per column, so
+    # every product streams through memory. Rows 1..d are the coordinates,
+    # and every later row is its parent times one of them.
     table = np.zeros((width, min(block, n)), dtype=np.float64)
     table[0] = 1.0
-    xt = np.empty((d, table.shape[1]), dtype=np.float64)
     gram = np.zeros((width, width), dtype=np.float64)
-    steps = list(zip(parents.tolist(), coords.tolist()))
-    for start in range(0, n, block):
-        chunk = points[start:start + block]
-        size = chunk.shape[0]
-        x = xt[:, :size]
-        x[...] = chunk.T
-        z = table[:, :size]
-        for j, (parent, coord) in enumerate(steps, start=1):
-            if parent == 0:
-                z[j] = x[coord]
-            else:
-                np.multiply(z[parent], x[coord], out=z[j])
-        gram += z @ z.T
-    return gram[rows, cols] / n
+    steps = list(zip(parents[d:].tolist(), (coords[d:] + 1).tolist()))
+    # Only a coordinate far beyond any Gaussian sample overflows (to inf,
+    # or NaN after inf - inf). The sum of its squares never turns NaN, so a
+    # moment test of degree 2 or more rejects the sample by it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, block):
+            chunk = points[start:start + block]
+            z = table[:, :chunk.shape[0]]
+            z[1:d + 1] = chunk.T
+            for j, (parent, coord) in enumerate(steps, start=d + 1):
+                np.multiply(z[parent], z[coord], out=z[j])
+            gram += z @ z.T
+        return gram[rows, cols] / n

@@ -138,8 +138,9 @@ def _decompose(points: np.ndarray, v: UnitVector, eta: float):
     margins = points @ v.coords
     b = slab_band_count(eta)
     t = tail_threshold(eta)
-    idx = np.floor(margins / eta).astype(np.int64)
-    np.clip(idx, -b - 1, b + 1, out=idx)
+    # Clipped before the cast, which a huge margin's quotient would not
+    # survive; the tail masks overwrite those bins anyway.
+    idx = np.clip(np.floor(margins / eta), -b - 1, b + 1).astype(np.int64)
     idx[margins >= t] = b + 1
     idx[margins <= -t] = -b - 1
     bins = idx + b + 1
@@ -160,7 +161,8 @@ def _slab_moments(points: np.ndarray, v: UnitVector, bins: np.ndarray,
     The rows of the kept bins are grouped by one stable sort on their rank
     among the kept bins (a small unsigned key, so NumPy radix-sorts it);
     the raw sums X^T X and sum x of each group are then projected off v
-    as P S P and P m with P = I - v v^T.
+    as P S P and P m with P = I - v v^T. A slab whose second moment is not
+    finite gets top eigenvalue inf.
     """
     rank = np.full(counts.size, kept.size,
                    dtype=np.min_scalar_type(kept.size))
@@ -169,13 +171,19 @@ def _slab_moments(points: np.ndarray, v: UnitVector, bins: np.ndarray,
     order = np.argsort(rank[bins], kind="stable")[:int(sizes.sum())]
     slabs = np.split(np.take(points, order, axis=0), np.cumsum(sizes)[:-1])
     ones = np.ones(int(sizes.max()))
-    # A product with a ones vector sums the rows faster than np.add.reduce.
-    sums = np.stack([ones[:slab.shape[0]] @ slab for slab in slabs])
-    scatter = np.stack([slab.T @ slab for slab in slabs])
     proj = np.eye(v.d) - np.multiply.outer(v.coords, v.coords)
-    second_moments = proj @ scatter @ proj / sizes[:, None, None]
-    tops = np.linalg.eigvalsh(second_moments)[:, -1]
-    mean_norms = np.linalg.norm(sums @ proj / sizes[:, None], axis=1)
+    # Squares of a huge finite coordinate overflow to inf, and inf times a
+    # zero of the projection is NaN; such a slab fails the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A product with a ones vector sums rows faster than np.add.reduce.
+        sums = np.stack([ones[:slab.shape[0]] @ slab for slab in slabs])
+        scatter = np.stack([slab.T @ slab for slab in slabs])
+        second_moments = proj @ scatter @ proj / sizes[:, None, None]
+        mean_norms = np.linalg.norm(sums @ proj / sizes[:, None], axis=1)
+    # eigvalsh may not converge on, or may miss, a matrix that is not finite.
+    finite = np.isfinite(second_moments).all(axis=(1, 2))
+    tops = np.full(kept.size, np.inf)
+    tops[finite] = np.linalg.eigvalsh(second_moments[finite])[:, -1]
     return tops, mean_norms
 
 
@@ -214,8 +222,9 @@ def wedge_bound_test(points: np.ndarray, v: UnitVector,
     tops = mean_norms = np.empty(0)
     if kept.size:
         tops, mean_norms = _slab_moments(points, v, bins, counts, kept)
-    failing = np.flatnonzero((tops > EIGENVALUE_BOUND + _CHECK_TOL)
-                             | (mean_norms > MEAN_BOUND + _CHECK_TOL))
+    # Written so that a NaN fails.
+    failing = np.flatnonzero(~((tops <= EIGENVALUE_BOUND + _CHECK_TOL)
+                               & (mean_norms <= MEAN_BOUND + _CHECK_TOL)))
     failed = int(failing[0]) if failing.size else None
     checked = kept.size if failed is None else failed + 1
     return WedgeVerdict(

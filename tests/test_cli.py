@@ -6,9 +6,11 @@ import subprocess
 import numpy as np
 import pytest
 
-from halflearn import cli, io
+from halflearn import LabeledSampleSet, UnitVector, cli, io
 from halflearn.cli import main
-from halflearn.io import read_samples_csv
+from halflearn.datagen import MarginalFamily, NoiseModel, generate
+from halflearn.io import read_samples_csv, write_samples_csv
+from halflearn.learner import plan_budget
 
 
 def run(argv):
@@ -143,6 +145,42 @@ class TestLearn:
         assert code == 1
         err = capsys.readouterr().err
         assert "bad.csv: line 3: non-finite field" in err
+
+    def test_non_utf8_byte_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1.0,2.0,1\n0.5,\xff,1\n")
+        code = run(["learn", "--in", str(bad), "--out",
+                    str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err \
+            == f"error: {bad}: line 2: non-numeric field\n"
+
+    def test_huge_finite_coordinate_keeps_stderr_empty(self, tmp_path,
+                                                       capsys):
+        # The smallest fundable budget at d = 2, with one coordinate of
+        # 1e200 in the weak slice, in round 0's slice or in the wedge
+        # slice. Its powers overflow; the verdict must come without a
+        # RuntimeWarning.
+        n = 333_334
+        plan = plan_budget(n, 0.05)
+        s = generate(2, n, MarginalFamily("gaussian"),
+                     UnitVector(np.array([0.6, 0.8])), NoiseModel("clean"),
+                     5)
+        out = tmp_path / "r.json"
+        for row, code, stage in [
+                (1000, 3, "weak_learner.moment_test"),
+                (plan.round_slices[0][0] + 1000, 0, None),
+                (plan.wedge_slice[0] + 1000, 3,
+                 "wedge.candidate_0.slab_moment_check")]:
+            points = s.points.copy()
+            points[row, 1] = 1e200
+            csv = tmp_path / f"row{row}.csv"
+            write_samples_csv(csv, LabeledSampleSet(points, s.labels))
+            capsys.readouterr()
+            assert run(["learn", "--in", str(csv), "--out", str(out)]) \
+                == code
+            assert capsys.readouterr().err == ""
+            assert json.loads(out.read_text())["rejection_stage"] == stage
 
     def test_c_a_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

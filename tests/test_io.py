@@ -191,6 +191,20 @@ class TestCsvErrors:
             read_samples_csv(path)
         assert excinfo.value.line_number == 4
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("data, line", [
+        pytest.param(b"1.0,2.0,1\n0.5,\xff,1\n", 2, id="row"),
+        pytest.param(b"x1,x\xff,y\n1.0,2.0,1\n", 1, id="header"),
+    ])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, data, line, cpus):
+        # Two CPUs read the second line in a worker.
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with in_ranges(cpus=cpus, min_bytes=8), \
+                pytest.raises(CsvFormatError) as excinfo:
+            read_samples_csv(path)
+        assert str(excinfo.value) == f"line {line}: non-numeric field"
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
         for text in ["", "x1,x2,y\n", "\n  \n"]:

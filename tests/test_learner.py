@@ -207,6 +207,11 @@ def _widen_wedge_orthogonals(points, plan, rng):
     points[_wedge_rows(plan), 1:] *= 2.0
 
 
+def _huge_wedge_coordinate(points, plan, rng):
+    # Finite, but its square overflows the slab's second moment.
+    points[plan.wedge_slice[0] + 1000, 1] = 1e200
+
+
 def staged(edit=None):
     """Clean Gaussian samples at d = 3 labeled by e_1, with one stage's rows
     edited."""
@@ -229,7 +234,9 @@ class TestRejectionStage:
             (_shift_wedge_margin, "wedge.candidate_0.tv_check"),
             (_widen_wedge_orthogonals,
              "wedge.candidate_0.slab_moment_check"),
-        ]])
+        ]] + [pytest.param(_huge_wedge_coordinate,
+                           "wedge.candidate_0.slab_moment_check",
+                           id="wedge_coordinate_1e200")])
     def test_edited_stage_rows(self, edit, stage):
         report = testable_learn(staged(edit), 0.05, 0.05, cfg())
         assert report.verdict == "rejected_non_gaussian"

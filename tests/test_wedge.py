@@ -88,6 +88,16 @@ class TestWedgeBound:
         assert verdict.mass_checked == pytest.approx(
             counts[kept[:verdict.slabs_checked]].sum() / 100_000)
 
+    @pytest.mark.parametrize("value", [1e150, 1e200, 1e300])
+    def test_huge_finite_coordinate_fails_moment_check(self, value):
+        # The row's margin falls in a populated tail, whose second moment
+        # is huge or overflows; with warnings as errors, no RuntimeWarning
+        # escapes either.
+        points = gaussian_points(100_000, 5, 3)
+        points[17, 1] = value
+        verdict = wedge_bound_test(points, normalize(np.ones(5)), 0.1)
+        assert verdict.rejected_by == SLAB_MOMENT_CHECK
+
     def test_two_point_margin_fails_tv_check(self):
         rng = np.random.default_rng(2)
         n = 100_000
