@@ -11,15 +11,14 @@ are importable from their modules (``halflearn.wedge``,
 ``halflearn.moment_test``, ...).
 """
 
-from .core import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
-                   empirical_error, random_unit_vector)
+from .core import (LabeledSampleSet, RunConfig, UnitVector, empirical_error,
+                   random_unit_vector)
 from .datagen import MarginalFamily, NoiseModel, generate, make_noise
 from .learner import LearnReport, testable_learn
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Halfspace",
     "LabeledSampleSet",
     "LearnReport",
     "MarginalFamily",

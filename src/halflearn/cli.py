@@ -10,6 +10,7 @@ import argparse
 import csv
 import itertools
 import json
+import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Halfspace, RunConfig, UnitVector, empirical_error, \
-    predict_batch, random_unit_vector
+from .core import RunConfig, empirical_error, predict_batch, \
+    random_unit_vector
 from .datagen import MARGINAL_KINDS, MarginalFamily, generate, make_noise
 from .io import CsvFormatError, file_sha256, json_dumps, read_samples_csv, \
     write_samples_csv
@@ -146,7 +147,7 @@ def run_experiment_task(task: dict) -> dict:
             hyp = report.hypothesis
             assert hyp is not None
             row["heldout_error"] = empirical_error(hyp, heldout)
-            planted = predict_batch(Halfspace(v_star), heldout.points)
+            planted = predict_batch(v_star, heldout.points)
             row["disagreement_vs_planted"] = float(np.mean(
                 predict_batch(hyp, heldout.points) != planted))
     except Exception as exc:  # keep the sweep alive, record the failure
@@ -184,8 +185,14 @@ def cmd_experiment(args) -> int:
         tasks = [dict(cell, config=RunConfig(epsilon=cell["epsilon"],
                                              tau=tau, seed=seed))
                  for cell in cells for seed in seeds]
-        for cell in cells:  # a cell that cannot fund one round
-            plan_budget(cell["n"], cell["epsilon"])
+        for cell in cells:  # a cell that no task of it could run
+            n = cell["n"]
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+                raise ValueError(f"n must be an integer, got {n!r}")
+            plan_budget(n, cell["epsilon"])
+            # One row runs the same d and marginal checks a task would.
+            generate(cell["d"], 1, cell["family"], random_unit_vector(
+                cell["d"], np.random.default_rng(0)), cell["noise_model"], 0)
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -63,17 +63,6 @@ class UnitVector:
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace:
-    """Homogeneous halfspace x -> sign(normal . x); boundary maps to +1."""
-
-    normal: UnitVector
-
-    @property
-    def d(self) -> int:
-        return self.normal.d
-
-
-@dataclass(frozen=True, eq=False)
 class LabeledSampleSet:
     """Points in R^d with labels in {-1, +1}."""
 
@@ -139,19 +128,35 @@ class RunConfig:
                 f"k_cap must be an integer in [2, {MAX_MOMENT_DEGREE}]")
 
 
-def predict_batch(h: Halfspace, points: np.ndarray) -> np.ndarray:
-    """Vector of labels for an (n, d) array of points."""
+def margins(x: np.ndarray, v: UnitVector) -> np.ndarray:
+    """v . x for each row of an (n, d) array x, or for one vector x.
+
+    A margin beyond the float range stays +-inf. A NaN, which inf - inf
+    inside the product makes, becomes +inf, so every stage puts such a
+    point past its farthest slab.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.asarray(x @ v.coords)  # 0-d for one vector, so it is writable
+    m[np.isnan(m)] = np.inf
+    return m
+
+
+def predict_batch(normal: UnitVector, points: np.ndarray) -> np.ndarray:
+    """Label sign(normal . x) of each row of an (n, d) array of points,
+    the halfspace through the origin with that normal; a point on the
+    boundary maps to +1."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != h.d:
-        raise ValueError("points must be (n, d) with d matching the halfspace")
-    return np.where(points @ h.normal.coords >= 0.0, 1, -1).astype(np.int64)
+    if points.ndim != 2 or points.shape[1] != normal.d:
+        raise ValueError("points must be (n, d) with d matching the normal")
+    return np.where(margins(points, normal) >= 0.0, 1, -1).astype(np.int64)
 
 
-def empirical_error(h: Halfspace, s: LabeledSampleSet) -> float:
-    """Fraction of samples where the halfspace disagrees with the label."""
-    if s.d != h.d:
-        raise ValueError("dimension mismatch between halfspace and samples")
-    return float(np.mean(predict_batch(h, s.points) != s.labels))
+def empirical_error(normal: UnitVector, s: LabeledSampleSet) -> float:
+    """Fraction of samples where the halfspace with this normal disagrees
+    with the label."""
+    if s.d != normal.d:
+        raise ValueError("dimension mismatch between normal and samples")
+    return float(np.mean(predict_batch(normal, s.points) != s.labels))
 
 
 def normalize(v: np.ndarray) -> UnitVector:

@@ -11,11 +11,12 @@ degree-2 exception).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Halfspace, LabeledSampleSet, UnitVector, predict_batch, \
+from .core import LabeledSampleSet, UnitVector, margins, predict_batch, \
     random_unit_vector
 
 GAUSSIAN = "gaussian"
@@ -50,8 +51,10 @@ class MarginalFamily:
         if self.kind == SCALED_GAUSSIAN:
             if self.factor <= 0.0:
                 raise ValueError("factor must be positive")
-            if self.axis < 0:
-                raise ValueError("axis must be non-negative")
+            # A float axis would pass here and fail as an IndexError later.
+            if not (isinstance(self.axis, numbers.Integral)
+                    and self.axis >= 0):
+                raise ValueError("axis must be a non-negative integer")
         if self.kind == STUDENT_T and self.dof < 3:
             raise ValueError("dof must be at least 3")
         if self.kind == GAUSSIAN_MIXTURE and self.separation < 0.0:
@@ -136,26 +139,24 @@ def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
         raise ValueError("v_star dimension mismatch")
     rng = np.random.default_rng(seed)
     points = _draw_points(d, n, marginal, rng)
-    labels = predict_batch(Halfspace(v_star), points)
+    labels = predict_batch(v_star, points)
 
     if noise.kind == CLEAN:
         return LabeledSampleSet(points, labels)
 
-    margins = points @ v_star.coords
     if noise.kind == RANDOM_FLIP:
         flip = rng.random(n) < noise.opt
-    elif noise.kind == BOUNDARY_FLIP:
+    else:
         flip = np.zeros(n, dtype=bool)
+        nearest = np.argsort(np.abs(margins(points, v_star)), kind="stable")
         count = int(noise.opt * n)
-        flip[np.argsort(np.abs(margins), kind="stable")[:count]] = True
-    else:  # WEDGE_FLIP
-        direction = random_unit_vector(d, rng)
-        count = int(noise.opt * n)
-        quantile = np.quantile(np.abs(margins), noise.opt)
-        pool = np.flatnonzero(np.abs(margins) <= quantile)
-        along = points[pool] @ direction.coords
-        chosen = pool[np.argsort(-along, kind="stable")[:count]]
-        flip = np.zeros(n, dtype=bool)
-        flip[chosen] = True
+        if noise.kind == BOUNDARY_FLIP:
+            flip[nearest[:count]] = True
+        else:  # WEDGE_FLIP
+            # The rows of a band twice as wide that lie furthest along a
+            # random direction: a wedge at the boundary.
+            pool = nearest[:int(min(2.0 * noise.opt, 1.0) * n)]
+            along = margins(points[pool], random_unit_vector(d, rng))
+            flip[pool[np.argsort(-along, kind="stable")[:count]]] = True
     labels = np.where(flip, -labels, labels)
     return LabeledSampleSet(points, labels)

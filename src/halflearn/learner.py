@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Halfspace, LabeledSampleSet, RunConfig, UnitVector, \
-    empirical_error
+from .core import LabeledSampleSet, RunConfig, UnitVector, empirical_error
 from .update import EXPECTED_ACCEPT_MIN, localized_update
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
 from .weak import weak_proper_learn
@@ -64,7 +63,7 @@ class BudgetPlan:
 
 @dataclass(frozen=True)
 class LearnReport:
-    hypothesis: Halfspace | None
+    hypothesis: UnitVector | None  # the normal of the chosen halfspace
     candidates: tuple[CandidateRecord, ...]
     rejection_stage: str | None    # None exactly when learned
     samples_consumed: int
@@ -92,7 +91,7 @@ class LearnReport:
                 }
                 for c in self.candidates
             ],
-            "hypothesis": (self.hypothesis.normal.coords.tolist()
+            "hypothesis": (self.hypothesis.coords.tolist()
                            if self.hypothesis is not None else None),
             "samples_consumed": self.samples_consumed,
             "config": {
@@ -241,9 +240,8 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     selection = s.subset(slice(plan.selection_slice[0],
                                plan.selection_slice[1]))
     consumed += selection.n
-    errors = [empirical_error(Halfspace(c.direction), selection)
-              for c in candidates]
+    errors = [empirical_error(c.direction, selection) for c in candidates]
     candidates = [replace(c, empirical_error=err)
                   for c, err in zip(candidates, errors)]
     best = int(np.argmin(errors))  # argmin keeps the earliest round on ties
-    return report(hypothesis=Halfspace(candidates[best].direction))
+    return report(hypothesis=candidates[best].direction)

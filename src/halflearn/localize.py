@@ -12,11 +12,9 @@ Sigma^{-1/2} x = x + (1/sigma - 1)(v.x) v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import LabeledSampleSet, UnitVector, normalize
+from .core import LabeledSampleSet, UnitVector, margins, normalize
 
 
 class EmptyLocalizationError(RuntimeError):
@@ -24,34 +22,22 @@ class EmptyLocalizationError(RuntimeError):
     against the Gaussian marginal."""
 
 
-@dataclass(frozen=True)
-class LocalizationTransform:
-    """The pair of inverse rank-one maps attached to (v, sigma)."""
+def _check_sigma(sigma: float) -> float:
+    if not 0.0 < sigma < 1.0:
+        raise ValueError("sigma must lie in (0, 1)")
+    return sigma
 
-    v: UnitVector
-    sigma: float
 
-    def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must lie in (0, 1)")
-
-    def shrink(self, x: np.ndarray) -> np.ndarray:
-        """Sigma^{1/2}: scales the component along v by sigma."""
-        v = self.v.coords
-        margins = np.asarray(x, dtype=np.float64) @ v
-        return x - (1.0 - self.sigma) * np.multiply.outer(margins, v)
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """Sigma^{-1/2}: scales the component along v by 1/sigma."""
-        v = self.v.coords
-        margins = np.asarray(x, dtype=np.float64) @ v
-        return x + (1.0 / self.sigma - 1.0) * np.multiply.outer(margins, v)
+def stretch(x: np.ndarray, v: UnitVector, factor: float) -> np.ndarray:
+    """x + (factor - 1)(v.x) v for a point or each row of an array: scales
+    the component along v by factor (sigma for Sigma^{1/2}, 1/sigma for
+    Sigma^{-1/2})."""
+    return x + (factor - 1.0) * np.multiply.outer(margins(x, v), v.coords)
 
 
 def acceptance_probabilities(margins: np.ndarray, sigma: float) -> np.ndarray:
     """Per-point keep probability; depends on the point only through v.x."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
+    _check_sigma(sigma)
     margins = np.asarray(margins, dtype=np.float64)
     # A huge margin's square overflows to inf, and exp(-inf) = 0 is its
     # probability in the limit.
@@ -70,7 +56,7 @@ def rejection_sample(s: LabeledSampleSet, v: UnitVector, sigma: float,
     """
     if v.d != s.d:
         raise ValueError("dimension mismatch between direction and samples")
-    probs = acceptance_probabilities(s.points @ v.coords, sigma)
+    probs = acceptance_probabilities(margins(s.points, v), sigma)
     keep = rng.random(s.n) < probs
     accepted = int(keep.sum())
     if accepted == 0:
@@ -83,8 +69,8 @@ def whiten(s: LabeledSampleSet, v: UnitVector, sigma: float) -> LabeledSampleSet
     """Map accepted points through Sigma^{-1/2}; labels unchanged."""
     if v.d != s.d:
         raise ValueError("dimension mismatch between direction and samples")
-    transform = LocalizationTransform(v, sigma)
-    return LabeledSampleSet(transform.expand(s.points), s.labels)
+    return LabeledSampleSet(stretch(s.points, v, 1.0 / _check_sigma(sigma)),
+                            s.labels)
 
 
 def unwhiten_direction(w: UnitVector, v: UnitVector, sigma: float) -> UnitVector:
@@ -95,8 +81,7 @@ def unwhiten_direction(w: UnitVector, v: UnitVector, sigma: float) -> UnitVector
     """
     if w.d != v.d:
         raise ValueError("dimension mismatch between directions")
-    transform = LocalizationTransform(v, sigma)
-    return normalize(transform.expand(w.coords))
+    return normalize(stretch(w.coords, v, 1.0 / _check_sigma(sigma)))
 
 
 def check_unwhitening_error_bound(v_star: UnitVector, v: UnitVector,
@@ -115,8 +100,7 @@ def check_unwhitening_error_bound(v_star: UnitVector, v: UnitVector,
     slack = 1e-12  # constructed inputs sit exactly on the hypothesis edge
     if v.distance_to(v_star) > delta + slack:
         raise ValueError("v is farther than delta from v_star")
-    transform = LocalizationTransform(v, delta)
-    whitened_opt = normalize(transform.shrink(v_star.coords))
+    whitened_opt = normalize(stretch(v_star.coords, v, delta))
     if w.distance_to(whitened_opt) > zeta + slack:
         raise ValueError("w is farther than zeta from the whitened optimum")
     recovered = unwhiten_direction(w, v, delta)

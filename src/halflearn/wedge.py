@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SLACK, UnitVector, normalize
+from .core import SLACK, UnitVector, margins, normalize
 
 MEAN_BOUND = 1.0
 EIGENVALUE_BOUND = 2.0
@@ -135,14 +135,12 @@ def _decompose(points: np.ndarray, v: UnitVector, eta: float):
     Interior bin i holds v.x in [i eta, (i+1) eta) at offset i + B + 1;
     offsets 0 and 2B+2 are the lower/upper tails |v.x| >= T.
     """
-    margins = points @ v.coords
+    m = margins(points, v)
     b = slab_band_count(eta)
     t = tail_threshold(eta)
-    # Clipped before the cast, which a huge margin's quotient would not
-    # survive; the tail masks overwrite those bins anyway.
-    idx = np.clip(np.floor(margins / eta), -b - 1, b + 1).astype(np.int64)
-    idx[margins >= t] = b + 1
-    idx[margins <= -t] = -b - 1
+    idx = np.floor(np.clip(m, -t, t) / eta).astype(np.int64)
+    idx[m >= t] = b + 1
+    idx[m <= -t] = -b - 1
     bins = idx + b + 1
     counts = np.bincount(bins, minlength=2 * b + 3)
     decomposition = SlabDecomposition(
@@ -250,7 +248,7 @@ def verify_wedge_certificate(points: np.ndarray, v: UnitVector, eta: float,
     if not 0.0 < eta <= 2.0:
         raise ValueError("eta must lie in (0, 2] (2 reaches the antipode)")
     points = _as_points(points, v)
-    base_signs = points @ v.coords >= 0.0
+    base_signs = margins(points, v) >= 0.0
 
     worst = 0.0
     for trial in range(trials):
@@ -263,7 +261,7 @@ def verify_wedge_certificate(points: np.ndarray, v: UnitVector, eta: float,
             angle = 2.0 * math.asin(min(distance, 2.0) / 2.0)
             w = normalize(math.cos(angle) * v.coords
                           + math.sin(angle) * u.coords)
-        signs = points @ w.coords >= 0.0
+        signs = margins(points, w) >= 0.0
         worst = max(worst, float(np.mean(signs != base_signs)))
     return worst
 

@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
+from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector, testable_learn)
 from halflearn.chow import default_batch_count, estimate_chow
 from halflearn.core import normalize, predict_batch
-from halflearn.localize import (LocalizationTransform,
-                                check_unwhitening_error_bound,
-                                rejection_sample, unwhiten_direction)
+from halflearn.localize import (check_unwhitening_error_bound,
+                                rejection_sample, stretch, unwhiten_direction)
 from halflearn.moments import gaussian_moments, monomial_exponents
 from halflearn.datagen import MarginalFamily, generate, make_noise
 from halflearn.io import json_dumps
@@ -151,8 +150,7 @@ def test_criterion_04_unwhitening_geometry_bound():
             angle = 2.0 * np.arcsin(kappa / 2.0)
             v = normalize(np.cos(angle) * v_star.coords
                           + np.sin(angle) * u.coords)
-            target = normalize(
-                LocalizationTransform(v, delta).shrink(v_star.coords))
+            target = normalize(stretch(v_star.coords, v, delta))
             e = _orthogonal_unit(target, rng)
             dist = rng.uniform(0.0, zeta)
             angle_w = 2.0 * np.arcsin(dist / 2.0)

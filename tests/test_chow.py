@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halflearn import Halfspace, LabeledSampleSet, UnitVector
+from halflearn import LabeledSampleSet, UnitVector
 from halflearn.chow import default_batch_count, estimate_chow
 from halflearn.core import predict_batch
 
@@ -15,7 +15,7 @@ def planted_set(n, d, seed, v=None):
     points = rng.standard_normal((n, d))
     if v is None:
         v = UnitVector(basis_vector(d, 0))
-    return LabeledSampleSet(points, predict_batch(Halfspace(v), points))
+    return LabeledSampleSet(points, predict_batch(v, points))
 
 
 class TestChowIdentity:

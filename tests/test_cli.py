@@ -158,27 +158,32 @@ class TestLearn:
     def test_huge_finite_coordinate_keeps_stderr_empty(self, tmp_path,
                                                        capsys):
         # The smallest fundable budget at d = 2, with one coordinate of
-        # 1e200 in the weak slice, in round 0's slice or in the wedge
-        # slice. Its powers overflow; the verdict must come without a
-        # RuntimeWarning.
+        # 1e200, or a whole row of +-1.7e308 whose margin along v
+        # overflows, in one stage's slice. The verdict must come without
+        # a RuntimeWarning.
         n = 333_334
         plan = plan_budget(n, 0.05)
         s = generate(2, n, MarginalFamily("gaussian"),
                      UnitVector(np.array([0.6, 0.8])), NoiseModel("clean"),
                      5)
+        weak = (1000, 3, "weak_learner.moment_test")
+        round_0 = (plan.round_slices[0][0] + 1000, 0, None)
+        wedge = (plan.wedge_slice[0] + 1000, 3,
+                 "wedge.candidate_0.slab_moment_check")
+        selection = (plan.selection_slice[0] + 1000, 0, None)
+        cases = [(1, 1e200, *stage) for stage in (weak, round_0, wedge)]
+        cases += [(slice(None), sign * 1.7e308, *stage)
+                  for sign in (1.0, -1.0)
+                  for stage in (weak, round_0, wedge, selection)]
         out = tmp_path / "r.json"
-        for row, code, stage in [
-                (1000, 3, "weak_learner.moment_test"),
-                (plan.round_slices[0][0] + 1000, 0, None),
-                (plan.wedge_slice[0] + 1000, 3,
-                 "wedge.candidate_0.slab_moment_check")]:
+        for column, value, row, code, stage in cases:
             points = s.points.copy()
-            points[row, 1] = 1e200
-            csv = tmp_path / f"row{row}.csv"
+            points[row, column] = value
+            csv = tmp_path / "huge.csv"
             write_samples_csv(csv, LabeledSampleSet(points, s.labels))
             capsys.readouterr()
             assert run(["learn", "--in", str(csv), "--out", str(out)]) \
-                == code
+                == code, (row, value)
             assert capsys.readouterr().err == ""
             assert json.loads(out.read_text())["rejection_stage"] == stage
 
@@ -260,9 +265,9 @@ class TestExperiment:
     def test_bad_spec_exits_one(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         out_path = tmp_path / "agg.csv"
-        # Values RunConfig, MarginalFamily, the noise model or the budget
-        # plan refuses must fail before any task runs. At opt 0 any noise
-        # kind is clean.
+        # Values RunConfig, MarginalFamily, the noise model, the budget
+        # plan or generate refuses must fail before any task runs. At
+        # opt 0 any noise kind is clean.
         grid = {"d": [4], "n": [340000]}
         refused = [{"grid": {"d": [4], "n": [40000]}, "seeds": [1, 2]},
                    {"grid": dict(grid, epsilon=[0.7]), "seeds": [1]},
@@ -273,6 +278,14 @@ class TestExperiment:
                    {"grid": dict(grid, marginal=["bogus"]), "seeds": [1]},
                    {"grid": dict(grid, noise=["bogus"], opt=[0.1]),
                     "seeds": [1]}]
+        # A d, n or scaled-gaussian axis that no task of its cell could
+        # run with.
+        refused += [{"grid": dict(grid, d=[d]), "seeds": [1]}
+                    for d in (1, True, "8", 2.5)]
+        refused += [{"grid": dict(grid, n=[340000.5]), "seeds": [1]}]
+        refused += [{"grid": dict(grid, marginal=[
+            {"kind": "scaled-gaussian", "axis": axis}]), "seeds": [1]}
+            for axis in (9, 1.5)]
         for text in ["{not json", "[]", '{"grid": {}, "seeds": 3}',
                      '{"grid": 5, "seeds": [1]}', '{"grid": {}, "seeds": []}',
                      '{"grid": {}, "seeds": [1, "a"]}',

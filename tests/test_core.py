@@ -4,15 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
+from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector)
-from halflearn.core import DegenerateVectorError, normalize, predict_batch
+from halflearn.core import (DegenerateVectorError, margins, normalize,
+                            predict_batch)
 
 from conftest import basis_vector
 
 
-def e1_halfspace(d=2):
-    return Halfspace(UnitVector(basis_vector(d, 0)))
+def e1_normal(d=2):
+    return UnitVector(basis_vector(d, 0))
 
 
 class TestUnitVector:
@@ -33,18 +34,24 @@ class TestUnitVector:
 class TestPredict:
     # predict_batch on one-row arrays.
     def test_positive_projection(self):
-        assert predict_batch(e1_halfspace(), np.array([[2.0, 0.0]])) == [1]
+        assert predict_batch(e1_normal(), np.array([[2.0, 0.0]])) == [1]
 
     def test_boundary_is_positive(self):
         # sign(0) = +1 keeps boundary points deterministic
-        assert predict_batch(e1_halfspace(), np.array([[0.0, 5.0]])) == [1]
+        assert predict_batch(e1_normal(), np.array([[0.0, 5.0]])) == [1]
 
     def test_negative_projection(self):
-        assert predict_batch(e1_halfspace(), np.array([[-0.1, 99.0]])) == [-1]
+        assert predict_batch(e1_normal(), np.array([[-0.1, 99.0]])) == [-1]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            predict_batch(e1_halfspace(), np.array([[1.0, 2.0, 3.0]]))
+            predict_batch(e1_normal(), np.array([[1.0, 2.0, 3.0]]))
+
+    def test_overflowing_margin_keeps_its_sign(self):
+        # The margins overflow to +inf and -inf, with no RuntimeWarning.
+        diagonal = normalize(np.ones(2))
+        points = np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+        assert predict_batch(diagonal, points).tolist() == [1, -1]
 
     @given(scale=st.floats(min_value=1e-6, max_value=1e6),
            x=arrays(np.float64, (3,),
@@ -53,19 +60,39 @@ class TestPredict:
     def test_scale_invariance(self, scale, x):
         # subnormal inputs could underflow to signed zero under scaling,
         # which is outside the positive-rescaling contract
-        h = e1_halfspace(3)
+        h = e1_normal(3)
         assert predict_batch(h, x[None]) == predict_batch(h, scale * x[None])
+
+
+class TestMargins:
+    def test_matches_the_product(self, rng):
+        v = random_unit_vector(4, rng)
+        points = rng.standard_normal((7, 4))
+        assert np.array_equal(margins(points, v), points @ v.coords)
+        assert margins(points[0], v) == points[0] @ v.coords
+
+    def test_overflow_stays_infinite(self):
+        v = normalize(np.ones(2))
+        points = np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+        assert margins(points, v).tolist() == [np.inf, -np.inf]
+
+    def test_nan_becomes_positive_infinity(self):
+        # inf - inf is NaN whatever order the product sums in.
+        v = normalize(np.ones(3))
+        points = np.array([[np.inf, -np.inf, 0.0], [-np.inf, 1.0, np.inf]])
+        assert margins(points, v).tolist() == [np.inf, np.inf]
+        assert margins(points[0], v) == np.inf
 
 
 class TestEmpiricalError:
     def test_consistent_labels(self, rng):
-        h = e1_halfspace(4)
+        h = e1_normal(4)
         points = rng.standard_normal((50, 4))
         s = LabeledSampleSet(points, predict_batch(h, points))
         assert empirical_error(h, s) == 0.0
 
     def test_all_flipped(self, rng):
-        h = e1_halfspace(4)
+        h = e1_normal(4)
         points = rng.standard_normal((50, 4))
         s = LabeledSampleSet(points, -predict_batch(h, points))
         assert empirical_error(h, s) == 1.0
@@ -78,15 +105,15 @@ class TestEmpiricalError:
         labels = np.where(xs[:, 0] >= 0, 1, -1)
         labels[[2, 5, 8]] *= -1
         s = LabeledSampleSet(xs, labels)
-        assert empirical_error(e1_halfspace(), s) == pytest.approx(0.3)
+        assert empirical_error(e1_normal(), s) == pytest.approx(0.3)
 
     def test_complement_rule(self, rng):
         # No point sits on the boundary, so errors of h and -h sum to 1.
-        h = e1_halfspace(3)
+        h = e1_normal(3)
         points = rng.standard_normal((101, 3))
         labels = rng.choice([-1, 1], size=101)
         s = LabeledSampleSet(points, labels)
-        negated = Halfspace(UnitVector(-h.normal.coords))
+        negated = UnitVector(-h.coords)
         total = empirical_error(h, s) + empirical_error(negated, s)
         assert total == pytest.approx(1.0)
 

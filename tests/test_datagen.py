@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halflearn import Halfspace, UnitVector, empirical_error
+from halflearn import UnitVector, empirical_error
 from halflearn.core import predict_batch
 from halflearn.datagen import (MarginalFamily, NoiseModel, generate,
                                make_noise)
@@ -18,25 +18,25 @@ class TestNoiseModels:
     def test_clean_labels_consistent(self):
         s = generate(4, 5000, MarginalFamily("gaussian"), v_star(4),
                      NoiseModel("clean"), 0)
-        assert empirical_error(Halfspace(v_star(4)), s) == 0.0
+        assert empirical_error(v_star(4), s) == 0.0
 
     def test_random_flip_rate(self):
         s = generate(5, 100_000, MarginalFamily("gaussian"), v_star(),
                      NoiseModel("random-flip", 0.1), 1)
-        assert empirical_error(Halfspace(v_star()), s) == \
+        assert empirical_error(v_star(), s) == \
             pytest.approx(0.1, abs=0.005)
 
     def test_boundary_flip_exact_count(self):
         n, opt = 100_000, 0.1
         s = generate(5, n, MarginalFamily("gaussian"), v_star(),
                      NoiseModel("boundary-flip", opt), 2)
-        clean = predict_batch(Halfspace(v_star()), s.points)
+        clean = predict_batch(v_star(), s.points)
         assert int(np.sum(clean != s.labels)) == int(opt * n)
 
     def test_boundary_flip_targets_small_margins(self):
         s = generate(5, 20_000, MarginalFamily("gaussian"), v_star(),
                      NoiseModel("boundary-flip", 0.05), 3)
-        clean = predict_batch(Halfspace(v_star()), s.points)
+        clean = predict_batch(v_star(), s.points)
         margins = np.abs(s.points @ v_star().coords)
         flipped = clean != s.labels
         assert margins[flipped].max() <= margins[~flipped].min() + 1e-12
@@ -44,15 +44,32 @@ class TestNoiseModels:
     def test_wedge_flip_bounded_by_opt(self):
         s = generate(5, 50_000, MarginalFamily("gaussian"), v_star(),
                      NoiseModel("wedge-flip", 0.05), 4)
-        err = empirical_error(Halfspace(v_star()), s)
+        err = empirical_error(v_star(), s)
         assert err <= 0.05 + 1e-9
+
+    @pytest.mark.parametrize("n, opt", [(3000, 0.05), (50_000, 0.1)])
+    def test_wedge_flip_is_a_wedge_in_the_double_band(self, n, opt):
+        # Same seed, same points: the two kinds differ only in which
+        # labels they flip. Wedge-flip flips as many, all within the
+        # 2 opt n rows nearest the boundary, but not the nearest ones.
+        wedge = generate(5, n, MarginalFamily("gaussian"), v_star(),
+                         NoiseModel("wedge-flip", opt), 3)
+        boundary = generate(5, n, MarginalFamily("gaussian"), v_star(),
+                            NoiseModel("boundary-flip", opt), 3)
+        assert np.array_equal(wedge.points, boundary.points)
+        assert np.any(wedge.labels != boundary.labels)
+        flipped = predict_batch(v_star(), wedge.points) != wedge.labels
+        assert int(flipped.sum()) == int(opt * n)
+        margins = np.abs(wedge.points @ v_star().coords)
+        band = np.sort(margins)[int(2 * opt * n) - 1]
+        assert margins[flipped].max() <= band
 
     def test_every_model_witnesses_opt(self):
         for kind, opt in (("random-flip", 0.08), ("boundary-flip", 0.08),
                           ("wedge-flip", 0.08)):
             s = generate(5, 50_000, MarginalFamily("gaussian"), v_star(),
                          make_noise(kind, opt), 5)
-            assert empirical_error(Halfspace(v_star()), s) <= opt + 0.01
+            assert empirical_error(v_star(), s) <= opt + 0.01
 
     def test_make_noise_collapses_to_clean(self):
         assert make_noise("random-flip", 0.0).kind == "clean"
@@ -117,6 +134,8 @@ class TestMarginalFamilies:
             MarginalFamily("scaled-gaussian", factor=0.0)
         with pytest.raises(ValueError):
             MarginalFamily("no-such-family")
+        with pytest.raises(ValueError):
+            MarginalFamily("scaled-gaussian", axis=1.5, factor=2.0)
         with pytest.raises(ValueError):
             generate(3, 10, MarginalFamily("scaled-gaussian", axis=5,
                                            factor=2.0),

@@ -6,7 +6,7 @@ from conftest import basis_vector, stdout_with_blas_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
+from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector, testable_learn)
 from halflearn import weak
 from halflearn.chow import ChowEstimate
@@ -160,14 +160,14 @@ class TestEndToEnd:
         start, end = report.plan.selection_slice
         selection = s.subset(slice(start, end))
         for cand in report.candidates:
-            again = empirical_error(Halfspace(cand.direction), selection)
+            again = empirical_error(cand.direction, selection)
             assert again == cand.empirical_error
 
     def test_hypothesis_minimizes_selection_error(self):
         s, _ = planted(600_000, 6, 10)
         report = testable_learn(s, 0.05, 0.05, cfg(10))
         errors = [c.empirical_error for c in report.candidates]
-        best = report.hypothesis.normal.coords
+        best = report.hypothesis.coords
         chosen = min(range(len(errors)), key=lambda i: (errors[i], i))
         assert np.array_equal(best,
                               report.candidates[chosen].direction.coords)
@@ -220,7 +220,7 @@ def staged(edit=None):
                                NoiseModel("clean"), 0).points)
     if edit is not None:
         edit(points, plan_budget(STAGE_N, 0.05), np.random.default_rng(0))
-    return LabeledSampleSet(points, predict_batch(Halfspace(v), points))
+    return LabeledSampleSet(points, predict_batch(v, points))
 
 
 class TestRejectionStage:

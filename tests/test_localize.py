@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from halflearn import LabeledSampleSet, UnitVector
 from halflearn.core import normalize
 from halflearn.localize import (EmptyLocalizationError,
-                                LocalizationTransform,
                                 acceptance_probabilities,
                                 check_unwhitening_error_bound,
-                                rejection_sample, unwhiten_direction, whiten)
+                                rejection_sample, stretch, unwhiten_direction,
+                                whiten)
 
 from conftest import basis_vector
 
@@ -30,20 +30,21 @@ class TestTransform:
         rng = np.random.default_rng(seed)
         v = normalize(rng.standard_normal(4))
         u = normalize(rng.standard_normal(4))
-        t = LocalizationTransform(v, sigma)
-        back = t.expand(t.shrink(u.coords))
+        back = stretch(stretch(u.coords, v, sigma), v, 1.0 / sigma)
         assert np.linalg.norm(back - u.coords) <= 1e-9
 
     def test_shrink_scales_along_v(self):
         v = unit(basis_vector(3, 0))
-        t = LocalizationTransform(v, 0.25)
         x = np.array([2.0, 1.0, -1.0])
-        out = t.shrink(x)
-        assert out == pytest.approx([0.5, 1.0, -1.0])
+        assert stretch(x, v, 0.25) == pytest.approx([0.5, 1.0, -1.0])
 
     def test_sigma_range(self):
-        with pytest.raises(ValueError):
-            LocalizationTransform(unit([1, 0]), 1.0)
+        v = unit([1, 0])
+        for sigma in (1.0, 0.0):
+            with pytest.raises(ValueError):
+                whiten(gaussian_set(10, 2, 0), v, sigma)
+            with pytest.raises(ValueError):
+                unwhiten_direction(unit([0, 1]), v, sigma)
 
 
 class TestAcceptance:
@@ -130,8 +131,7 @@ class TestUnwhitenDirection:
         delta = 0.005
         v = unit(basis_vector(2, 0))
         v_star = unit([1.0, 0.005])
-        t = LocalizationTransform(v, delta)
-        w = normalize(t.shrink(v_star.coords))
+        w = normalize(stretch(v_star.coords, v, delta))
         out = unwhiten_direction(w, v, delta)
         assert np.linalg.norm(out.coords - v_star.coords) <= 1e-9
 
@@ -140,8 +140,7 @@ class TestUnwhitenDirection:
         rng = np.random.default_rng(seed)
         v = normalize(rng.standard_normal(5))
         u = normalize(rng.standard_normal(5))
-        t = LocalizationTransform(v, sigma)
-        w = normalize(t.shrink(u.coords))
+        w = normalize(stretch(u.coords, v, sigma))
         out = unwhiten_direction(w, v, sigma)
         assert np.linalg.norm(out.coords - u.coords) <= 1e-9
 
@@ -151,8 +150,7 @@ class TestGeometryBound:
         delta = 0.008
         v = unit(basis_vector(3, 0))
         v_star = normalize(np.array([1.0, 0.006, 0.0]))
-        t = LocalizationTransform(v, delta)
-        w = normalize(t.shrink(v_star.coords))
+        w = normalize(stretch(v_star.coords, v, delta))
         assert check_unwhitening_error_bound(v_star, v, w, delta, 0.0)
 
     def test_random_tuples_hold(self):
@@ -196,8 +194,7 @@ def _random_bound_case(rng, d):
     angle = 2.0 * np.arcsin(kappa / 2.0)
     v = normalize(np.cos(angle) * v_star.coords + np.sin(angle) * u.coords)
 
-    t = LocalizationTransform(v, delta)
-    target = normalize(t.shrink(v_star.coords))
+    target = normalize(stretch(v_star.coords, v, delta))
     e = _orthogonal_unit(target, rng)
     dist = rng.uniform(0.0, zeta) if zeta > 0 else 0.0
     angle_w = 2.0 * np.arcsin(dist / 2.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halflearn import (Halfspace, LabeledSampleSet, RunConfig, UnitVector,
+from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error)
 from halflearn.chow import default_batch_count
 from halflearn.core import normalize, predict_batch
@@ -65,7 +65,7 @@ class TestRateCheck:
         points = rng.standard_normal((n, d))
         points[:, 0] = rng.uniform(-3.0, 3.0, size=n)
         v = UnitVector(basis_vector(d, 0))
-        s = LabeledSampleSet(points, predict_batch(Halfspace(v), points))
+        s = LabeledSampleSet(points, predict_batch(v, points))
         out = update(s, v, delta, cfg())
         assert not out.updated
         assert out.rejected_by == "rate_check"
@@ -83,7 +83,7 @@ class TestRateCheck:
         points = rng.standard_normal((n, d))
         points[:, 1:] = rng.choice([-1.0, 1.0], size=(n, d - 1))
         v = UnitVector(basis_vector(d, 0))
-        s = LabeledSampleSet(points, predict_batch(Halfspace(v), points))
+        s = LabeledSampleSet(points, predict_batch(v, points))
         out = update(s, v, 0.02, cfg())
         assert not out.updated
         assert out.rejected_by == "moment_test"
@@ -98,10 +98,10 @@ class TestErrorAmplification:
         v_star = UnitVector(basis_vector(d, 0))
         s = generate(d, n, MarginalFamily("gaussian"), v_star,
                      NoiseModel("boundary-flip", opt), 11)
-        opt_emp = empirical_error(Halfspace(v_star), s)
+        opt_emp = empirical_error(v_star, s)
         accepted, _ = rejection_sample(s, v_star, delta,
                                        np.random.default_rng(0))
-        accepted_err = empirical_error(Halfspace(v_star), accepted)
+        accepted_err = empirical_error(v_star, accepted)
         slack = 5.0 / np.sqrt(accepted.n)
         assert accepted_err <= 2.0 * opt_emp / delta + slack
 

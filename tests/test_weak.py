@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halflearn import Halfspace, LabeledSampleSet, RunConfig, UnitVector
+from halflearn import LabeledSampleSet, RunConfig, UnitVector
 from halflearn.chow import default_batch_count
 from halflearn.core import predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
@@ -26,7 +26,7 @@ def planted(n, d, seed, flip=0.0):
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d))
     v = UnitVector(basis_vector(d, 0))
-    labels = predict_batch(Halfspace(v), points)
+    labels = predict_batch(v, points)
     if flip > 0.0:
         mask = rng.random(n) < flip
         labels = np.where(mask, -labels, labels)
@@ -70,7 +70,7 @@ class TestRejectBranch:
         rng = np.random.default_rng(0)
         points = rng.integers(0, 2, size=(50_000, 5)).astype(float) * 2 - 1
         v = UnitVector(basis_vector(5, 0))
-        s = LabeledSampleSet(points, predict_batch(Halfspace(v), points))
+        s = LabeledSampleSet(points, predict_batch(v, points))
         out = learn(s, cfg())
         assert not out.learned
         assert out.direction is None

@@ -88,7 +88,7 @@ class TestWedgeBound:
         assert verdict.mass_checked == pytest.approx(
             counts[kept[:verdict.slabs_checked]].sum() / 100_000)
 
-    @pytest.mark.parametrize("value", [1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("value", [1e150, 1e200, 1e300, 1.7e308])
     def test_huge_finite_coordinate_fails_moment_check(self, value):
         # The row's margin falls in a populated tail, whose second moment
         # is huge or overflows; with warnings as errors, no RuntimeWarning
