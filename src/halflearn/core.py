@@ -64,26 +64,30 @@ class UnitVector:
 
 @dataclass(frozen=True, eq=False)
 class LabeledSampleSet:
-    """Points in R^d with labels in {-1, +1}."""
+    """n >= 1 real, finite points in R^d, d >= 2, with labels -1 or +1;
+    read-only float64 points and int8 labels, checked here once."""
 
     points: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        points = np.ascontiguousarray(self.points, dtype=np.float64)
-        labels = np.asarray(self.labels)
+        points, labels = np.asarray(self.points), np.asarray(self.labels)
+        if np.iscomplexobj(points):  # the float cast would drop 5j
+            raise ValueError("points must be real")
+        points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise ValueError("points must be an (n, d) array")
         if labels.ndim != 1 or labels.shape[0] != points.shape[0]:
             raise ValueError("labels must be one per point")
-        if points.shape[0] < 1:
-            raise ValueError("need at least one sample")
+        if points.shape[0] < 1 or points.shape[1] < 2:
+            raise ValueError("need at least one sample, and d >= 2")
         if not np.all(np.isfinite(points)):
             raise ValueError("points must be finite")
-        # Checked before the cast, which would truncate 1.7 to 1.
-        if not np.all((labels == 1) | (labels == -1)):
+        # Before the cast, which truncates 1.7 to 1; True and 1+0j equal 1.
+        if (labels.dtype.kind in "bc"
+                or not np.all((labels == 1) | (labels == -1))):
             raise ValueError("labels must be -1 or +1")
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        labels = np.ascontiguousarray(labels, dtype=np.int8)
         object.__setattr__(self, "points", _frozen_view(points))
         object.__setattr__(self, "labels", _frozen_view(labels))
 
@@ -96,8 +100,15 @@ class LabeledSampleSet:
         return self.points.shape[1]
 
     def subset(self, index) -> "LabeledSampleSet":
-        """Sample set restricted to a slice or index array."""
-        return LabeledSampleSet(self.points[index], self.labels[index])
+        """Rows of this set, unchecked since they are valid: a slice gives
+        a read-only view, an index array or mask a read-only copy."""
+        points = self.points[index]
+        if points.ndim != 2 or points.shape[0] < 1:
+            raise ValueError("need at least one sample")
+        out = object.__new__(LabeledSampleSet)
+        object.__setattr__(out, "points", _frozen_view(points))
+        object.__setattr__(out, "labels", _frozen_view(self.labels[index]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -154,8 +165,6 @@ def predict_batch(normal: UnitVector, points: np.ndarray) -> np.ndarray:
 def empirical_error(normal: UnitVector, s: LabeledSampleSet) -> float:
     """Fraction of samples where the halfspace with this normal disagrees
     with the label."""
-    if s.d != normal.d:
-        raise ValueError("dimension mismatch between normal and samples")
     return float(np.mean(predict_batch(normal, s.points) != s.labels))
 
 

@@ -131,8 +131,6 @@ def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
     controlled subset, so the planted halfspace always witnesses error at
     most opt (exactly opt for the deterministic flip counts).
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
     if v_star.d != d:

@@ -80,7 +80,7 @@ def read_samples_csv(path: str | Path) -> LabeledSampleSet:
         tables = [table for table in _parse_ranges(path, int(header))
                   if len(table)]
         widths = {table.shape[1] for table in tables}
-        if len(widths) == 1 and widths.pop() >= 3:
+        if len(widths) == 1:
             return _join(tables)
     except ValueError:
         pass
@@ -237,8 +237,7 @@ def _read_rows(path: Path) -> LabeledSampleSet:
             labels.append(int(label))
     if not points:
         raise CsvFormatError(1, "no samples in file")
-    return LabeledSampleSet(np.asarray(points, dtype=np.float64),
-                            np.asarray(labels, dtype=np.int64))
+    return LabeledSampleSet(points, labels)
 
 
 def json_dumps(obj) -> str:

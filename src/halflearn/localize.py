@@ -54,8 +54,6 @@ def rejection_sample(s: LabeledSampleSet, v: UnitVector, sigma: float,
     randomness is drawn in sample order from ``rng``, so runs are
     reproducible. Raises EmptyLocalizationError if nothing survives.
     """
-    if v.d != s.d:
-        raise ValueError("dimension mismatch between direction and samples")
     probs = acceptance_probabilities(margins(s.points, v), sigma)
     keep = rng.random(s.n) < probs
     accepted = int(keep.sum())
@@ -67,8 +65,6 @@ def rejection_sample(s: LabeledSampleSet, v: UnitVector, sigma: float,
 
 def whiten(s: LabeledSampleSet, v: UnitVector, sigma: float) -> LabeledSampleSet:
     """Map accepted points through Sigma^{-1/2}; labels unchanged."""
-    if v.d != s.d:
-        raise ValueError("dimension mismatch between direction and samples")
     return LabeledSampleSet(stretch(s.points, v, 1.0 / _check_sigma(sigma)),
                             s.labels)
 
@@ -79,8 +75,6 @@ def unwhiten_direction(w: UnitVector, v: UnitVector, sigma: float) -> UnitVector
 
     Cannot degenerate for unit w: the map never shrinks norms.
     """
-    if w.d != v.d:
-        raise ValueError("dimension mismatch between directions")
     return normalize(stretch(w.coords, v, 1.0 / _check_sigma(sigma)))
 
 

@@ -159,17 +159,61 @@ class TestLabeledSampleSet:
 
     def test_accepts_float_labels(self):
         s = LabeledSampleSet(np.zeros((2, 2)), np.array([1.0, -1.0]))
-        assert s.labels.dtype == np.int64
+        assert s.labels.dtype == np.int8
         assert s.labels.tolist() == [1, -1]
+
+    @pytest.mark.parametrize("labels", [[True, True], [True, False],
+                                        [1 + 0j, -1]])
+    def test_rejects_boolean_and_complex_labels(self, labels):
+        # True == 1 and 1+0j == 1, so these passed the value check.
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            LabeledSampleSet(np.zeros((2, 2)), labels)
+
+    def test_rejects_complex_points(self):
+        # The float cast stored these as [[1, 2], [3, 0]].
+        with pytest.raises(ValueError, match="points must be real"):
+            LabeledSampleSet([[1 + 5j, 2], [3, 4j]], [1, -1])
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_rejects_dimension_below_two(self, d):
+        # d = 1 ran the weak stage's moment test before failing in
+        # UnitVector; d = 0 failed in the Chow batch count's log(0).
+        with pytest.raises(ValueError, match="d >= 2"):
+            LabeledSampleSet(np.zeros((3, d)), np.ones(3))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LabeledSampleSet(np.array([[np.inf, 0.0]]), np.array([1]))
 
     def test_subset_slice(self, rng):
+        # A read-only view of the parent, not a copy.
         s = LabeledSampleSet(rng.standard_normal((10, 2)),
                              np.ones(10, dtype=int))
-        assert s.subset(slice(2, 7)).n == 5
+        part = s.subset(slice(2, 7))
+        assert part.n == 5
+        for mine, parent in [(part.points, s.points),
+                             (part.labels, s.labels)]:
+            assert np.shares_memory(mine, parent)
+            assert not mine.flags.writeable
+
+    def test_subset_mask_is_a_read_only_copy(self, rng):
+        s = LabeledSampleSet(rng.standard_normal((10, 2)),
+                             rng.choice([-1, 1], size=10))
+        keep = s.points[:, 0] > 0
+        part = s.subset(keep)
+        assert np.array_equal(part.points, s.points[keep])
+        assert np.array_equal(part.labels, s.labels[keep])
+        assert part.labels.dtype == np.int8
+        assert not part.points.flags.writeable
+        assert not part.labels.flags.writeable
+
+    @pytest.mark.parametrize("index", [slice(4, 4), np.zeros(10, dtype=bool)],
+                             ids=["slice", "mask"])
+    def test_empty_subset_raises(self, rng, index):
+        s = LabeledSampleSet(rng.standard_normal((10, 2)),
+                             np.ones(10, dtype=int))
+        with pytest.raises(ValueError, match="at least one sample"):
+            s.subset(index)
 
 
 class TestRunConfig:

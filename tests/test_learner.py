@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector, testable_learn)
-from halflearn import weak
+from halflearn import update, weak
 from halflearn.chow import ChowEstimate
 from halflearn.core import predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate, make_noise
@@ -267,6 +267,30 @@ class TestRejectionStage:
 
     def test_unedited_rows_learn(self):
         assert testable_learn(staged(), 0.05, 0.05, cfg()).learned
+
+
+class TestSampleChecks:
+    def test_only_whitened_sets_are_checked(self, monkeypatch):
+        # Stage slices and accepted rows are rows of the checked input;
+        # only whitening computes new points, once per funded round.
+        s = staged()
+        checked, whitened = [], []
+        real_check, real_whiten = LabeledSampleSet.__post_init__, update.whiten
+
+        def check(self):
+            checked.append(self)
+            real_check(self)
+
+        def whiten(*args):
+            whitened.append(real_whiten(*args))
+            return whitened[-1]
+
+        monkeypatch.setattr(LabeledSampleSet, "__post_init__", check)
+        monkeypatch.setattr(update, "whiten", whiten)
+        report = testable_learn(s, 0.05, 0.05, cfg())
+        assert report.learned
+        assert len(checked) == len(whitened) == report.plan.rounds == 1
+        assert all(a is b for a, b in zip(checked, whitened))
 
 
 class TestDeterminism:

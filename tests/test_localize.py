@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from halflearn import LabeledSampleSet, UnitVector
+from halflearn import LabeledSampleSet, UnitVector, empirical_error
 from halflearn.core import normalize
+from halflearn.datagen import MarginalFamily, NoiseModel, generate
 from halflearn.localize import (EmptyLocalizationError,
                                 acceptance_probabilities,
                                 check_unwhitening_error_bound,
@@ -208,3 +209,21 @@ def _orthogonal_unit(v, rng):
     g = rng.standard_normal(v.d)
     g -= (g @ v.coords) * v.coords
     return normalize(g)
+
+
+# Each call relies on another owner for its dimension check: predict_batch
+# for empirical_error, the margin product for the localization maps, and
+# v_star's own dimension (a UnitVector has d >= 2) for generate.
+@pytest.mark.parametrize("call", [
+    lambda s, v: empirical_error(v, s),
+    lambda s, v: rejection_sample(s, v, 0.5, np.random.default_rng(0)),
+    lambda s, v: whiten(s, v, 0.5),
+    lambda s, v: unwhiten_direction(v, UnitVector(basis_vector(2, 0)), 0.5),
+    lambda s, v: generate(1, 10, MarginalFamily("gaussian"), v,
+                          NoiseModel("clean"), 0),
+], ids=["empirical_error", "rejection_sample", "whiten",
+        "unwhiten_direction", "generate_d1"])
+def test_mismatched_dimensions_raise(call):
+    s = gaussian_set(20, 2, 0)
+    with pytest.raises(ValueError):
+        call(s, UnitVector(basis_vector(3, 0)))

@@ -77,3 +77,26 @@ def test_slab_counter_matches_the_verdict():
     assert verdict.certified and verdict.slabs_checked > 0
     assert _load("tracing")._slabs_checked((points, v, 0.05), {}, verdict) \
         == {"slabs": verdict.slabs_checked}
+
+
+def test_row_counters_match_the_sets():
+    # localize.raw_rows, localize.accepted_rows and chow.rows read .n from
+    # the sets of real calls; a counter that raised would only be listed
+    # as missing, and its metric would read 0.
+    from halflearn import LabeledSampleSet
+    from halflearn.chow import estimate_chow
+    from halflearn.core import normalize
+    from halflearn.localize import rejection_sample
+    tracing = _load("tracing")
+    rng = np.random.default_rng(0)
+    s = LabeledSampleSet(rng.standard_normal((20_000, 6)),
+                         rng.choice([-1, 1], size=20_000))
+    v = normalize(rng.standard_normal(6))
+    localized = rejection_sample(s, v, 0.1, rng)
+    accepted = localized[0]
+    assert tracing._localized_rows((s, v, 0.1, rng), {}, localized) == {
+        "raw_rows": len(s.points), "accepted_rows": len(accepted.points)}
+    assert len(accepted.labels) == round(localized[1] * len(s.points)) > 0
+    chow = estimate_chow(accepted, 7, rng)
+    assert tracing._chow_rows((accepted, 7, rng), {}, chow) == {
+        "rows": len(accepted.labels)}
