@@ -44,7 +44,8 @@ def estimate_chow(s: LabeledSampleSet, batch_count: int,
 
     Samples are shuffled by ``rng`` and split into ``batch_count``
     contiguous equal batches, dropping the remainder; each coordinate is
-    the median of the batch means. ``batch_count`` must be odd.
+    the median of the batch means. ``batch_count`` must be odd. One batch
+    of rows is gathered at a time.
     """
     if batch_count < 1 or batch_count % 2 == 0:
         raise ValueError("batch_count must be odd and positive")
@@ -56,12 +57,14 @@ def estimate_chow(s: LabeledSampleSet, batch_count: int,
     # reproducible.
     perm = rng.permutation(s.n)
     batch_size = s.n // batch_count
-    used = perm[: batch_count * batch_size]
-    # Gather, then flip the negative rows in place: the same bytes as
-    # labels * points, since multiplying by -1 or +1 is exact.
-    signed = np.take(s.points, used, axis=0)
-    np.negative(signed, out=signed, where=s.labels[used, None] < 0)
-    batch_means = signed.reshape(batch_count, batch_size, s.d).mean(axis=1)
+    batches = perm[: batch_count * batch_size].reshape(batch_count, batch_size)
+    batch_means = np.empty((batch_count, s.d))
+    for mean, rows in zip(batch_means, batches):
+        # Gather one batch, then flip its negative rows in place: the same
+        # bytes as labels * points, since multiplying by -1 or +1 is exact.
+        signed = np.take(s.points, rows, axis=0)
+        np.negative(signed, out=signed, where=s.labels[rows, None] < 0)
+        np.mean(signed, axis=0, out=mean)
     vector = np.median(batch_means, axis=0)
     spread = np.median(np.abs(batch_means - vector), axis=0)
     return ChowEstimate(vector=vector, batch_count=batch_count,

@@ -20,6 +20,10 @@ _UNIT_TOL = 1e-9
 # integers, at most 39!! (above int64), each rounded to float once.
 MAX_MOMENT_DEGREE = 20
 
+# Elements per block of a row-wise pass (512 KB of doubles), so a pass's
+# temporaries stay in cache and do not grow with the number of rows.
+_BLOCK_ELEMENTS = 1 << 16
+
 # Width of every tester tolerance, in z-score units: each moment band is
 # SLACK * sqrt(Var[m] / n) and the wedge TV allowance SLACK * sqrt(bins / n).
 SLACK = 6.0
@@ -33,6 +37,20 @@ def _frozen_view(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.setflags(write=False)
     return view
+
+
+def _row_blocks(n: int, width: int = 1):
+    """Slices of consecutive rows that cover rows 0..n-1, each holding at
+    most ``_BLOCK_ELEMENTS`` elements of rows ``width`` wide."""
+    rows = max(1, _BLOCK_ELEMENTS // max(1, width))
+    return (slice(lo, lo + rows) for lo in range(0, n, rows))
+
+
+def _all_finite(points: np.ndarray) -> bool:
+    """Whether every entry of an (n, d) array is finite, scanned one block
+    of rows at a time."""
+    return all(np.isfinite(points[rows]).all()
+               for rows in _row_blocks(points.shape[0], points.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +90,10 @@ class LabeledSampleSet:
 
     def __post_init__(self):
         points, labels = np.asarray(self.points), np.asarray(self.labels)
+        if points.dtype == object:
+            # The float cast raises TypeError on a complex element, and
+            # drops the imaginary part of a NumPy complex scalar.
+            points = np.array(points.tolist())
         if np.iscomplexobj(points):  # the float cast would drop 5j
             raise ValueError("points must be real")
         points = np.ascontiguousarray(points, dtype=np.float64)
@@ -81,11 +103,12 @@ class LabeledSampleSet:
             raise ValueError("labels must be one per point")
         if points.shape[0] < 1 or points.shape[1] < 2:
             raise ValueError("need at least one sample, and d >= 2")
-        if not np.all(np.isfinite(points)):
+        if not _all_finite(points):
             raise ValueError("points must be finite")
         # Before the cast, which truncates 1.7 to 1; True and 1+0j equal 1.
-        if (labels.dtype.kind in "bc"
-                or not np.all((labels == 1) | (labels == -1))):
+        if labels.dtype.kind in "bc" or not all(
+                np.all((labels[rows] == 1) | (labels[rows] == -1))
+                for rows in _row_blocks(labels.shape[0])):
             raise ValueError("labels must be -1 or +1")
         labels = np.ascontiguousarray(labels, dtype=np.int8)
         object.__setattr__(self, "points", _frozen_view(points))
@@ -164,8 +187,15 @@ def predict_batch(normal: UnitVector, points: np.ndarray) -> np.ndarray:
 
 def empirical_error(normal: UnitVector, s: LabeledSampleSet) -> float:
     """Fraction of samples where the halfspace with this normal disagrees
-    with the label."""
-    return float(np.mean(predict_batch(normal, s.points) != s.labels))
+    with the label, counted one block of rows at a time.
+
+    The margins are one product over all rows: a BLAS product over a block
+    of rows may round its last rows differently.
+    """
+    m = margins(s.points, normal)
+    wrong = sum(np.count_nonzero((m[rows] >= 0.0) != (s.labels[rows] > 0))
+                for rows in _row_blocks(s.n))
+    return int(wrong) / s.n
 
 
 def normalize(v: np.ndarray) -> UnitVector:

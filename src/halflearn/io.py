@@ -98,7 +98,8 @@ def _parse_ranges(path: Path, skiprows: int) -> list[np.ndarray]:
     that ``loadtxt`` holds; on a 2-core VM that held a worker's start
     back by up to 0.3 s. A daemonic process, such as a
     ``multiprocessing.Pool`` worker, may not have children, so it reads
-    the file as one range.
+    the file as one range. A worker's table crosses the pipe as raw bytes,
+    not as a pickle, which would be copied once on each side.
     """
     size = path.stat().st_size
     count = 1
@@ -129,10 +130,11 @@ def _parse_ranges(path: Path, skiprows: int) -> list[np.ndarray]:
             workers.append((worker, receiver))
         tables = [_parse_range(path, *ranges[0], skiprows)]
         for _, receiver in workers:
-            table = receiver.recv()
-            if isinstance(table, Exception):
-                raise table
-            tables.append(table)
+            shape = receiver.recv()
+            if isinstance(shape, Exception):
+                raise shape
+            tables.append(np.empty(shape))
+            receiver.recv_bytes_into(_flat_bytes(tables[-1]))
         return tables
     finally:
         # Stops the workers still parsing when a range was refused.
@@ -143,12 +145,23 @@ def _parse_ranges(path: Path, skiprows: int) -> list[np.ndarray]:
 
 
 def _send_range(sender, path: Path, start: int, end: int) -> None:
-    """Worker: send the range's table, or the exception that stopped it."""
+    """Worker: send the range's table as its shape and then its raw bytes,
+    which the reader receives straight into an array of that shape, or
+    send the exception that stopped it."""
     try:
-        result = _parse_range(path, start, end, 0)
+        table = _parse_range(path, start, end, 0)
     except Exception as exc:
-        result = exc
-    sender.send(result)
+        sender.send(exc)
+        return
+    sender.send(table.shape)
+    sender.send_bytes(_flat_bytes(table))
+
+
+def _flat_bytes(table: np.ndarray) -> np.ndarray:
+    """A contiguous table as a flat byte view: a ``Connection`` takes an
+    array's len() along its first axis only, and a memoryview with a zero
+    in its shape cannot be cast to bytes."""
+    return table.reshape(-1).view(np.uint8)
 
 
 class _ByteRange(io.RawIOBase):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LabeledSampleSet, UnitVector, margins, normalize
+from .core import (LabeledSampleSet, UnitVector, _row_blocks, margins,
+                   normalize)
 
 
 class EmptyLocalizationError(RuntimeError):
@@ -53,14 +54,21 @@ def rejection_sample(s: LabeledSampleSet, v: UnitVector, sigma: float,
     Returns the accepted subset and the acceptance rate. Acceptance
     randomness is drawn in sample order from ``rng``, so runs are
     reproducible. Raises EmptyLocalizationError if nothing survives.
+    Probabilities and draws are taken one block of rows at a time; the
+    margins are one product over all rows, since a BLAS product over a
+    block may round its last rows differently.
     """
-    probs = acceptance_probabilities(margins(s.points, v), sigma)
-    keep = rng.random(s.n) < probs
-    accepted = int(keep.sum())
-    if accepted == 0:
+    m = margins(s.points, v)
+    kept = []
+    for rows in _row_blocks(s.n):
+        probs = acceptance_probabilities(m[rows], sigma)
+        kept.append(np.flatnonzero(rng.random(probs.size) < probs)
+                    + rows.start)
+    keep = np.concatenate(kept)
+    if keep.size == 0:
         raise EmptyLocalizationError(
             f"no samples accepted at sigma={sigma} (n={s.n})")
-    return s.subset(keep), accepted / s.n
+    return s.subset(keep), keep.size / s.n
 
 
 def whiten(s: LabeledSampleSet, v: UnitVector, sigma: float) -> LabeledSampleSet:

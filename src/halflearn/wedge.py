@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SLACK, UnitVector, margins, normalize
+from .core import SLACK, UnitVector, _all_finite, margins, normalize
 
 MEAN_BOUND = 1.0
 EIGENVALUE_BOUND = 2.0
@@ -79,7 +79,7 @@ def _as_points(points: np.ndarray, v: UnitVector) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != v.d:
         raise ValueError("points must be (n, d) matching the direction")
-    if not np.all(np.isfinite(points)):
+    if not _all_finite(points):
         raise ValueError("points must be finite")
     return points
 
@@ -156,26 +156,30 @@ def _slab_moments(points: np.ndarray, v: UnitVector, bins: np.ndarray,
     """Top eigenvalue of the projected second moment and norm of the
     projected mean, for each kept bin in ascending order.
 
-    The rows of the kept bins are grouped by one stable sort on their rank
+    The rows of the kept bins are ordered by one stable sort on their rank
     among the kept bins (a small unsigned key, so NumPy radix-sorts it);
-    the raw sums X^T X and sum x of each group are then projected off v
-    as P S P and P m with P = I - v v^T. A slab whose second moment is not
-    finite gets top eigenvalue inf.
+    each slab is gathered in turn, and its raw sums X^T X and sum x are
+    then projected off v as P S P and P m with P = I - v v^T. A slab whose
+    second moment is not finite gets top eigenvalue inf.
     """
     rank = np.full(counts.size, kept.size,
                    dtype=np.min_scalar_type(kept.size))
     rank[kept] = np.arange(kept.size)
     sizes = counts[kept]
     order = np.argsort(rank[bins], kind="stable")[:int(sizes.sum())]
-    slabs = np.split(np.take(points, order, axis=0), np.cumsum(sizes)[:-1])
     ones = np.ones(int(sizes.max()))
+    sums = np.empty((kept.size, v.d))
+    scatter = np.empty((kept.size, v.d, v.d))
     proj = np.eye(v.d) - np.multiply.outer(v.coords, v.coords)
     # Squares of a huge finite coordinate overflow to inf, and inf times a
     # zero of the projection is NaN; such a slab fails the check.
     with np.errstate(over="ignore", invalid="ignore"):
-        # A product with a ones vector sums rows faster than np.add.reduce.
-        sums = np.stack([ones[:slab.shape[0]] @ slab for slab in slabs])
-        scatter = np.stack([slab.T @ slab for slab in slabs])
+        for j, rows in enumerate(np.split(order, np.cumsum(sizes)[:-1])):
+            slab = np.take(points, rows, axis=0)
+            # A product with a ones vector sums rows faster than
+            # np.add.reduce.
+            sums[j] = ones[:rows.size] @ slab
+            scatter[j] = slab.T @ slab
         second_moments = proj @ scatter @ proj / sizes[:, None, None]
         mean_norms = np.linalg.norm(sums @ proj / sizes[:, None], axis=1)
     # eigvalsh may not converge on, or may miss, a matrix that is not finite.

@@ -174,6 +174,21 @@ class TestLabeledSampleSet:
         with pytest.raises(ValueError, match="points must be real"):
             LabeledSampleSet([[1 + 5j, 2], [3, 4j]], [1, -1])
 
+    @pytest.mark.parametrize("value", [1 + 1j, np.complex128(1 + 1j)],
+                             ids=["python", "numpy"])
+    def test_rejects_complex_object_points(self, value):
+        # The float cast raised TypeError on a Python complex, and dropped
+        # the imaginary part of a NumPy one.
+        points = np.array([[value, 2], [3, 4]], dtype=object)
+        with pytest.raises(ValueError, match="points must be real"):
+            LabeledSampleSet(points, [1, -1])
+
+    def test_accepts_real_object_points(self):
+        s = LabeledSampleSet(np.array([[1, 2.5], [3, 4]], dtype=object),
+                             [1, -1])
+        assert s.points.dtype == np.float64
+        assert s.points.tolist() == [[1.0, 2.5], [3.0, 4.0]]
+
     @pytest.mark.parametrize("d", [0, 1])
     def test_rejects_dimension_below_two(self, d):
         # d = 1 ran the weak stage's moment test before failing in
