@@ -117,16 +117,20 @@ def _seed_int(*entropy) -> int:
         1, np.uint64)[0])
 
 
+_FIELDS = ["cell_index", "d", "n", "epsilon", "marginal", "noise", "opt",
+           "seed", "verdict", "rejection_stage", "rounds_completed",
+           "heldout_error", "disagreement_vs_planted", "samples_consumed",
+           "wall_time_s", "error"]
+
+
 def run_experiment_task(task: dict) -> dict:
     """One grid cell run with task["config"], task["family"] and
     task["noise_model"]; crashes are captured in the row."""
     cfg, marginal, noise = task["config"], task["family"], task["noise_model"]
-    row = {key: task[key] for key in ("cell_index", "d", "n", "epsilon",
-                                      "noise", "opt")}
-    row.update({"marginal": marginal.kind, "seed": cfg.seed, "verdict": "",
-                "rejection_stage": "", "rounds_completed": "",
-                "heldout_error": "", "disagreement_vs_planted": "",
-                "samples_consumed": "", "wall_time_s": "", "error": ""})
+    row = dict.fromkeys(_FIELDS, "")
+    row.update({key: task[key] for key in ("cell_index", "d", "n", "epsilon",
+                                           "noise", "opt")},
+               marginal=marginal.kind, seed=cfg.seed)
     started = time.perf_counter()
     try:
         cell = int(task["cell_index"])
@@ -155,12 +159,6 @@ def run_experiment_task(task: dict) -> dict:
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_time_s"] = round(time.perf_counter() - started, 3)
     return row
-
-
-_FIELDS = ["cell_index", "d", "n", "epsilon", "marginal", "noise", "opt",
-           "seed", "verdict", "rejection_stage", "rounds_completed",
-           "heldout_error", "disagreement_vs_planted", "samples_consumed",
-           "wall_time_s", "error"]
 
 
 def cmd_experiment(args) -> int:

@@ -165,12 +165,16 @@ class RunConfig:
 def margins(x: np.ndarray, v: UnitVector) -> np.ndarray:
     """v . x for each row of an (n, d) array x, or for one vector x.
 
+    Each margin is summed from its own row alone (einsum without optimize
+    never calls BLAS), so its bytes do not depend on the other rows or on
+    the BLAS thread count, and a stage may take margins block by block.
     A margin beyond the float range stays +-inf. A NaN, which inf - inf
-    inside the product makes, becomes +inf, so every stage puts such a
-    point past its farthest slab.
+    inside the sum makes, becomes +inf, so every stage puts such a point
+    past its farthest slab.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.asarray(x @ v.coords)  # 0-d for one vector, so it is writable
+        # 0-d for one vector, so it is writable.
+        m = np.asarray(np.einsum("...j,j->...", x, v.coords))
     m[np.isnan(m)] = np.inf
     return m
 
@@ -187,14 +191,10 @@ def predict_batch(normal: UnitVector, points: np.ndarray) -> np.ndarray:
 
 def empirical_error(normal: UnitVector, s: LabeledSampleSet) -> float:
     """Fraction of samples where the halfspace with this normal disagrees
-    with the label, counted one block of rows at a time.
-
-    The margins are one product over all rows: a BLAS product over a block
-    of rows may round its last rows differently.
-    """
-    m = margins(s.points, normal)
-    wrong = sum(np.count_nonzero((m[rows] >= 0.0) != (s.labels[rows] > 0))
-                for rows in _row_blocks(s.n))
+    with the label, counted one block of rows at a time."""
+    wrong = sum(np.count_nonzero((margins(s.points[rows], normal) >= 0.0)
+                                 != (s.labels[rows] > 0))
+                for rows in _row_blocks(s.n, s.d))
     return int(wrong) / s.n
 
 

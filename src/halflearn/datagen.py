@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledSampleSet, UnitVector, margins, predict_batch, \
-    random_unit_vector
+from .core import LabeledSampleSet, UnitVector, margins, random_unit_vector
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -137,7 +136,8 @@ def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
         raise ValueError("v_star dimension mismatch")
     rng = np.random.default_rng(seed)
     points = _draw_points(d, n, marginal, rng)
-    labels = predict_batch(v_star, points)
+    m = margins(points, v_star)
+    labels = np.where(m >= 0.0, 1, -1)
 
     if noise.kind == CLEAN:
         return LabeledSampleSet(points, labels)
@@ -146,7 +146,7 @@ def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
         flip = rng.random(n) < noise.opt
     else:
         flip = np.zeros(n, dtype=bool)
-        nearest = np.argsort(np.abs(margins(points, v_star)), kind="stable")
+        nearest = np.argsort(np.abs(m), kind="stable")
         count = int(noise.opt * n)
         if noise.kind == BOUNDARY_FLIP:
             flip[nearest[:count]] = True

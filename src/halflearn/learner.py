@@ -18,7 +18,7 @@ wedge.candidate_1.tv_check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -94,12 +94,7 @@ class LearnReport:
             "hypothesis": (self.hypothesis.coords.tolist()
                            if self.hypothesis is not None else None),
             "samples_consumed": self.samples_consumed,
-            "config": {
-                "epsilon": self.config.epsilon,
-                "tau": self.config.tau,
-                "seed": self.config.seed,
-                "k_cap": self.config.k_cap,
-            },
+            "config": asdict(self.config),
             "stage_slices": {
                 "weak": [0, self.plan.n_weak],
                 "rounds": [list(sl) for sl in self.plan.round_slices],
@@ -213,10 +208,10 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
 
     # Stage 2: localization rounds while the budget lasts.
     current = outcome.direction
+    batch = default_batch_count(s.d, tau_stage, EXPECTED_ACCEPT_MIN)
     for t, (start, end) in enumerate(plan.round_slices):
         consumed += end - start
         round_set = s.subset(slice(start, end))
-        batch = default_batch_count(s.d, tau_stage, EXPECTED_ACCEPT_MIN)
         update = localized_update(round_set, current, round_delta(t), cfg,
                                   rng, batch)
         if not update.updated:

@@ -54,14 +54,11 @@ def rejection_sample(s: LabeledSampleSet, v: UnitVector, sigma: float,
     Returns the accepted subset and the acceptance rate. Acceptance
     randomness is drawn in sample order from ``rng``, so runs are
     reproducible. Raises EmptyLocalizationError if nothing survives.
-    Probabilities and draws are taken one block of rows at a time; the
-    margins are one product over all rows, since a BLAS product over a
-    block may round its last rows differently.
+    Margins, probabilities and draws are taken one block of rows at a time.
     """
-    m = margins(s.points, v)
     kept = []
-    for rows in _row_blocks(s.n):
-        probs = acceptance_probabilities(m[rows], sigma)
+    for rows in _row_blocks(s.n, s.d):
+        probs = acceptance_probabilities(margins(s.points[rows], v), sigma)
         kept.append(np.flatnonzero(rng.random(probs.size) < probs)
                     + rows.start)
     keep = np.concatenate(kept)

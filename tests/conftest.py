@@ -31,9 +31,13 @@ def basis_vector(d: int, axis: int) -> np.ndarray:
 
 def stdout_with_blas_threads(script: str, threads: int) -> bytes:
     """Standard output of ``python -c script`` in a fresh interpreter whose
-    OpenBLAS runs on ``threads`` threads, with this checkout's package."""
+    BLAS (OpenBLAS, OpenMP or MKL) runs on ``threads`` threads, with this
+    checkout's package."""
     src = str(Path(halflearn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path)
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"):
+        env[variable] = str(threads)
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, check=True).stdout

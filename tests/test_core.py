@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,11 +11,19 @@ from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
 from halflearn.core import (DegenerateVectorError, margins, normalize,
                             predict_batch)
 
-from conftest import basis_vector
+from conftest import basis_vector, stdout_with_blas_threads
+
+TESTS = Path(__file__).resolve().parent
 
 
 def e1_normal(d=2):
     return UnitVector(basis_vector(d, 0))
+
+
+def gaussian_rows_and_direction():
+    """200,003 standard Gaussian rows at d = 12 and a random direction."""
+    x = np.random.default_rng(5).standard_normal((200_003, 12))
+    return x, normalize(np.random.default_rng(6).standard_normal(12))
 
 
 class TestUnitVector:
@@ -82,6 +92,24 @@ class TestMargins:
         points = np.array([[np.inf, -np.inf, 0.0], [-np.inf, 1.0, np.inf]])
         assert margins(points, v).tolist() == [np.inf, np.inf]
         assert margins(points[0], v) == np.inf
+
+    def test_each_row_depends_on_that_row_alone(self):
+        # A BLAS product over these rows rounded some of them differently
+        # when the rows were shifted, split into blocks, or summed on 2
+        # threads instead of 1.
+        x, v = gaussian_rows_and_direction()
+        whole = margins(x, v)
+        for k in (1, 3, 7, 100_002):
+            assert np.array_equal(whole[k:], margins(x[k:], v))
+        edges = [0, 1, 998, 65_537, 65_540, 199_999, 200_003]
+        assert np.array_equal(whole, np.concatenate(
+            [margins(x[lo:hi], v) for lo, hi in zip(edges, edges[1:])]))
+        script = (f"import sys; sys.path.insert(0, {str(TESTS)!r}); "
+                  "import hashlib; from test_core import *; "
+                  "m = margins(*gaussian_rows_and_direction()); "
+                  "print(hashlib.sha256(m.tobytes()).hexdigest())")
+        assert stdout_with_blas_threads(script, 1) \
+            == stdout_with_blas_threads(script, 2)
 
 
 class TestEmpiricalError:

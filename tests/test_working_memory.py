@@ -71,10 +71,10 @@ def wedge_digest(n, d, eta, seed, scale_axis=None):
 
 # Digests of what the whole-slice code these stages replaced returned,
 # over many blocks and with partial last blocks, taken with NumPy 2.4.6 and
-# its bundled OpenBLAS on x86-64. The margins and the slab sums are BLAS
-# products, so another BLAS build may round them differently; its digests
-# are then taken again from the last commit with whole-slice stages. Each
-# output must also be the same at 1 and 2 BLAS threads.
+# its bundled OpenBLAS on x86-64. The slab sums are BLAS products, so
+# another BLAS build may round them differently; its digests are then taken
+# again from the last commit with whole-slice stages. Each output must also
+# be the same at 1 and 2 BLAS threads.
 PINNED = {
     "chow_digest(150_000, 12, 17, 0)": "5742d30912e89faf",
     "chow_digest(150_001, 8, 15, 1)": "21f9270783ddaa36",
