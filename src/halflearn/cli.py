@@ -20,7 +20,8 @@ import numpy as np
 
 from .core import RunConfig, empirical_error, predict_batch, \
     random_unit_vector
-from .datagen import MARGINAL_KINDS, MarginalFamily, generate, make_noise
+from .datagen import (CLEAN, GAUSSIAN, MARGINAL_KINDS, NOISE_KINDS,
+                      MarginalFamily, NoiseModel, generate, make_noise)
 from .io import CsvFormatError, file_sha256, json_dumps, read_samples_csv, \
     write_samples_csv
 from .learner import LEARNED, plan_budget, testable_learn
@@ -29,13 +30,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_REJECTED = 3
-
-
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-cap", type=int, default=4)
 
 
 def cmd_generate(args) -> int:
@@ -90,17 +84,22 @@ def cmd_learn(args) -> int:
     return EXIT_OK if report.learned else EXIT_REJECTED
 
 
+# Each grid axis, in the order cells enumerate them, with the values it
+# takes when the spec leaves it out.
+_GRID_DEFAULTS = {"d": [8], "n": [400000], "epsilon": [0.05],
+                  "marginal": [GAUSSIAN], "noise": [CLEAN],
+                  "opt": [NoiseModel.opt]}
+
+
 def _experiment_cells(spec: dict) -> list[dict]:
     """The grid's cells, each with its MarginalFamily and noise model.
     MarginalFamily raises TypeError for an unknown field, and both models
     for a value of the wrong type."""
     grid = spec["grid"]
-    def listify(key, default):
+    axes = []
+    for key, default in _GRID_DEFAULTS.items():
         value = grid.get(key, default)
-        return value if isinstance(value, list) else [value]
-    axes = [listify("d", [8]), listify("n", [400000]),
-            listify("epsilon", [0.05]), listify("marginal", ["gaussian"]),
-            listify("noise", ["clean"]), listify("opt", [0.0])]
+        axes.append(value if isinstance(value, list) else [value])
     cells = []
     for idx, combo in enumerate(itertools.product(*axes)):
         d, n, epsilon, marginal, noise, opt = combo
@@ -172,6 +171,11 @@ def cmd_experiment(args) -> int:
             raise ValueError("spec must be a JSON object")
         if not isinstance(spec.get("grid"), dict):
             raise ValueError('"grid" must be an object')
+        unknown = ([key for key in spec if key not in ("grid", "seeds", "tau")]
+                   + [f"grid.{key}" for key in spec["grid"]
+                      if key not in _GRID_DEFAULTS])
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
         seeds = spec.get("seeds")
         if not (isinstance(seeds, list) and seeds
                 and all(isinstance(seed, int) for seed in seeds)):
@@ -194,7 +198,7 @@ def cmd_experiment(args) -> int:
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO
-    out_path = Path(args.out or spec.get("output_path", "experiment.csv"))
+    out_path = Path(args.out)
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -235,28 +239,31 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--marginal", required=True, choices=MARGINAL_KINDS)
-    gen.add_argument("--noise", default="clean",
-                     choices=("clean", "random-flip", "boundary-flip",
-                              "wedge-flip"))
-    gen.add_argument("--opt", type=float, default=0.0)
+    gen.add_argument("--noise", default=CLEAN, choices=NOISE_KINDS)
+    gen.add_argument("--opt", type=float, default=NoiseModel.opt)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--header", action="store_true")
-    gen.add_argument("--scale-axis", type=int, default=0)
-    gen.add_argument("--scale-factor", type=float, default=1.0)
-    gen.add_argument("--t-dof", type=int, default=3)
-    gen.add_argument("--mixture-separation", type=float, default=0.0)
+    gen.add_argument("--scale-axis", type=int, default=MarginalFamily.axis)
+    gen.add_argument("--scale-factor", type=float,
+                     default=MarginalFamily.factor)
+    gen.add_argument("--t-dof", type=int, default=MarginalFamily.dof)
+    gen.add_argument("--mixture-separation", type=float,
+                     default=MarginalFamily.separation)
     gen.set_defaults(func=cmd_generate)
 
     learn = sub.add_parser("learn", help="run the tester-learner on a CSV")
     learn.add_argument("--in", dest="input", required=True)
     learn.add_argument("--out", required=True)
-    _add_config_flags(learn)
+    learn.add_argument("--epsilon", type=float, default=0.05)
+    learn.add_argument("--tau", type=float, default=0.05)
+    learn.add_argument("--seed", type=int, default=0)
+    learn.add_argument("--k-cap", type=int, default=RunConfig.k_cap)
     learn.set_defaults(func=cmd_learn)
 
     exp = sub.add_parser("experiment", help="run a seeded grid of cells")
     exp.add_argument("--spec", required=True)
-    exp.add_argument("--out", default=None)
+    exp.add_argument("--out", required=True)
     exp.add_argument("--workers", type=int, default=1)
     exp.set_defaults(func=cmd_experiment)
     return parser

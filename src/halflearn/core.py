@@ -212,6 +212,7 @@ def random_unit_vector(d: int, rng: np.random.Generator) -> UnitVector:
     if d < 2:  # at d = 0 the loop below would never end
         raise ValueError("dimension must be at least 2")
     while True:
-        g = rng.standard_normal(d)
-        if np.linalg.norm(g) > NORM_FLOOR:
-            return normalize(g)
+        try:
+            return normalize(rng.standard_normal(d))
+        except DegenerateVectorError:
+            continue

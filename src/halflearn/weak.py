@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chow import estimate_chow
-from .core import (NORM_FLOOR, LabeledSampleSet, RunConfig, UnitVector,
-                   normalize)
+from .core import (DegenerateVectorError, LabeledSampleSet, RunConfig,
+                   UnitVector, normalize)
 from .moment_test import MomentTestReport, moment_match_test
 
 MIN_SAMPLES = 1000
@@ -57,8 +57,9 @@ def weak_proper_learn(s: LabeledSampleSet, cfg: RunConfig,
                                 rejected_by=MOMENT_TEST)
 
     estimate = estimate_chow(s, batch_count, rng)
-    if float(np.linalg.norm(estimate.vector)) <= NORM_FLOOR:
+    try:
+        return WeakLearnOutcome(direction=normalize(estimate.vector),
+                                moment_report=report, rejected_by=None)
+    except DegenerateVectorError:
         return WeakLearnOutcome(direction=None, moment_report=report,
                                 rejected_by=DEGENERATE_CHOW)
-    return WeakLearnOutcome(direction=normalize(estimate.vector),
-                            moment_report=report, rejected_by=None)

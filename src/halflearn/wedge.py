@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SLACK, UnitVector, _all_finite, margins, normalize
+from .core import (SLACK, UnitVector, _all_finite, margins, normalize,
+                   random_unit_vector)
 
 MEAN_BOUND = 1.0
 EIGENVALUE_BOUND = 2.0
@@ -68,11 +69,6 @@ def smallest_testable_eta(n: int) -> float | None:
         else:
             lo = mid
     return hi
-
-
-def _check_eta(eta: float) -> None:
-    if not 0.0 < eta <= 0.5:
-        raise ValueError("eta must lie in (0, 1/2]")
 
 
 def _as_points(points: np.ndarray, v: UnitVector) -> np.ndarray:
@@ -201,7 +197,8 @@ def wedge_bound_test(points: np.ndarray, v: UnitVector,
     in rejected_by, slabs in ascending index order. The worst eigenvalue
     and the coverage count the slabs up to and including a failing one.
     """
-    _check_eta(eta)
+    if not 0.0 < eta <= 0.5:
+        raise ValueError("eta must lie in (0, 1/2]")
     points = _as_points(points, v)
     n = points.shape[0]
     needed = min_sample_count(eta)
@@ -261,19 +258,11 @@ def verify_wedge_certificate(points: np.ndarray, v: UnitVector, eta: float,
         else:
             distance = rng.uniform(0.0, eta)
             distance = eta if distance == 0.0 else distance
-            u = _random_orthogonal_unit(v, rng)
+            g = random_unit_vector(v.d, rng).coords
+            u = normalize(g - margins(g, v) * v.coords)
             angle = 2.0 * math.asin(min(distance, 2.0) / 2.0)
             w = normalize(math.cos(angle) * v.coords
                           + math.sin(angle) * u.coords)
         signs = margins(points, w) >= 0.0
         worst = max(worst, float(np.mean(signs != base_signs)))
     return worst
-
-
-def _random_orthogonal_unit(v: UnitVector,
-                            rng: np.random.Generator) -> UnitVector:
-    while True:
-        g = rng.standard_normal(v.d)
-        g -= (g @ v.coords) * v.coords
-        if np.linalg.norm(g) > 1e-9:
-            return normalize(g)

@@ -277,7 +277,11 @@ class TestExperiment:
                    {"grid": grid, "seeds": [True]},
                    {"grid": dict(grid, marginal=["bogus"]), "seeds": [1]},
                    {"grid": dict(grid, noise=["bogus"], opt=[0.1]),
-                    "seeds": [1]}]
+                    "seeds": [1]},
+                   # A key the runner does not read.
+                   {"grid": grid, "seeds": [1], "taus": 0.5},
+                   {"grid": dict(grid, eps=[0.2]), "seeds": [1]},
+                   {"grid": grid, "seeds": [1], "output_path": "agg.csv"}]
         # A d, n or scaled-gaussian axis that no task of its cell could
         # run with.
         refused += [{"grid": dict(grid, d=[d]), "seeds": [1]}

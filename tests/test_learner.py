@@ -10,7 +10,7 @@ from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector, testable_learn)
 from halflearn import update, weak
 from halflearn.chow import ChowEstimate
-from halflearn.core import predict_batch
+from halflearn.core import margins, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate, make_noise
 from halflearn.io import json_dumps
 from halflearn.learner import max_rounds, plan_budget, round_raw_size
@@ -267,6 +267,45 @@ class TestRejectionStage:
 
     def test_unedited_rows_learn(self):
         assert testable_learn(staged(), 0.05, 0.05, cfg()).learned
+
+
+# Orders of the rows of a planted sample; each maps (s, v_star) to a
+# permutation.
+ROW_ORDERS = {
+    "as_generated": lambda s, v: np.arange(s.n),
+    "label_noise_first": lambda s, v: np.argsort(
+        s.labels == predict_batch(v, s.points), kind="stable"),
+    "by_label": lambda s, v: np.argsort(s.labels, kind="stable"),
+    "by_x1": lambda s, v: np.argsort(s.points[:, 0], kind="stable"),
+    "by_abs_margin": lambda s, v: np.argsort(np.abs(margins(s.points, v)),
+                                             kind="stable"),
+}
+
+
+@pytest.fixture(scope="module")
+def random_flip_rows():
+    v = random_unit_vector(8, np.random.default_rng(0))
+    return generate(8, 600_000, MarginalFamily("gaussian"), v,
+                    make_noise("random-flip", 0.05), seed=0), v
+
+
+class TestRowOrder:
+    """Each stage reads a fixed slice in file order, so rows must come in
+    random order: a sorted file is rejected at the first stage even though
+    its whole x-marginal is Gaussian."""
+
+    @pytest.mark.parametrize("order, stage", [
+        ("as_generated", None), ("label_noise_first", None),
+        ("by_label", "weak_learner.moment_test"),
+        ("by_x1", "weak_learner.moment_test"),
+        ("by_abs_margin", "weak_learner.moment_test")])
+    def test_verdict_by_row_order(self, random_flip_rows, order, stage):
+        s, v = random_flip_rows
+        s = s.subset(ROW_ORDERS[order](s, v))
+        report = testable_learn(s, 0.05, 0.05, cfg())
+        assert report.rejection_stage == stage
+        if stage is None:
+            assert empirical_error(report.hypothesis, s) <= 0.06
 
 
 class TestSampleChecks:

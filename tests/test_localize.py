@@ -211,9 +211,10 @@ def _orthogonal_unit(v, rng):
     return normalize(g)
 
 
-# Each call relies on another owner for its dimension check: predict_batch
-# for empirical_error, the margin product for the localization maps, and
-# v_star's own dimension (a UnitVector has d >= 2) for generate.
+# Each call relies on another owner for its dimension check: core.margins,
+# an einsum that refuses mismatched shapes, for empirical_error and the
+# localization maps, and v_star's own dimension (a UnitVector has d >= 2)
+# for generate.
 @pytest.mark.parametrize("call", [
     lambda s, v: empirical_error(v, s),
     lambda s, v: rejection_sample(s, v, 0.5, np.random.default_rng(0)),
