@@ -192,6 +192,12 @@ def _uniform_round_margin(points, plan, rng):
     points[rows, 0] = rng.uniform(-3.0, 3.0, size=points[rows].shape[0])
 
 
+def _far_round_margin(points, plan, rng):
+    # Every margin is about 50, so rejection sampling accepts no row.
+    rows = _round_rows(plan)
+    points[rows, 0] = rng.choice([-50.0, 50.0], size=points[rows].shape[0])
+
+
 def _sign_round_orthogonals(points, plan, rng):
     # Survives the rate check; whitened fourth moments are 1, not 3.
     rows = _round_rows(plan)
@@ -223,20 +229,27 @@ def staged(edit=None):
     return LabeledSampleSet(points, predict_batch(v, points))
 
 
+# Each edit of the staged rows, the stage that rejects it, and its test id.
+STAGE_EDITS = [
+    (_uniform_round_margin, "round_0.rate_check", "round_0.rate_check"),
+    (_far_round_margin, "round_0.rate_check", "round_0_nothing_accepted"),
+    (_sign_round_orthogonals, "round_0.moment_test", "round_0.moment_test"),
+    (_shift_wedge_margin, "wedge.candidate_0.tv_check",
+     "wedge.candidate_0.tv_check"),
+    (_widen_wedge_orthogonals, "wedge.candidate_0.slab_moment_check",
+     "wedge.candidate_0.slab_moment_check"),
+    (_huge_wedge_coordinate, "wedge.candidate_0.slab_moment_check",
+     "wedge_coordinate_1e200"),
+]
+
+
 class TestRejectionStage:
     """Every stage string a report can carry, from the tester that
     rejected."""
 
     @pytest.mark.parametrize("edit, stage", [
-        pytest.param(edit, stage, id=stage) for edit, stage in [
-            (_uniform_round_margin, "round_0.rate_check"),
-            (_sign_round_orthogonals, "round_0.moment_test"),
-            (_shift_wedge_margin, "wedge.candidate_0.tv_check"),
-            (_widen_wedge_orthogonals,
-             "wedge.candidate_0.slab_moment_check"),
-        ]] + [pytest.param(_huge_wedge_coordinate,
-                           "wedge.candidate_0.slab_moment_check",
-                           id="wedge_coordinate_1e200")])
+        pytest.param(edit, stage, id=name)
+        for edit, stage, name in STAGE_EDITS])
     def test_edited_stage_rows(self, edit, stage):
         report = testable_learn(staged(edit), 0.05, 0.05, cfg())
         assert report.verdict == "rejected_non_gaussian"
