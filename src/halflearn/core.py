@@ -33,6 +33,18 @@ class DegenerateVectorError(ValueError):
     """Vector norm is at or below the normalization floor."""
 
 
+class Rejected(Exception):
+    """A tester rejected the marginal as non-Gaussian; ``tester`` names it.
+
+    Not a ValueError, so a rejection that escapes the learner is never
+    taken for bad input.
+    """
+
+    def __init__(self, tester: str):
+        super().__init__(tester)
+        self.tester = tester
+
+
 def _frozen_view(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.setflags(write=False)

@@ -9,9 +9,10 @@ certifies every candidate with the wedge tester at that candidate's own
 scale and at the target accuracy. Stage 4 scores every candidate on a
 held-out selection slice and returns the minimizer.
 
-Any tester rejection aborts with verdict rejected_non_gaussian and a
-machine-readable stage name: the pipeline stage, then the name of the
-tester that rejected (weak_learner.moment_test, round_2.rate_check,
+A tester rejects by raising core.Rejected with its own name. That aborts
+the run with verdict rejected_non_gaussian and a machine-readable stage
+name: the pipeline stage, which testable_learn adds, then the tester's
+name (weak_learner.moment_test, round_2.rate_check,
 wedge.candidate_1.tv_check).
 """
 
@@ -22,7 +23,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import LabeledSampleSet, RunConfig, UnitVector, empirical_error
+from .core import (LabeledSampleSet, Rejected, RunConfig, UnitVector,
+                   empirical_error)
 from .update import EXPECTED_ACCEPT_MIN, localized_update
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
 from .weak import weak_proper_learn
@@ -189,54 +191,46 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
 
     consumed = plan.n_weak
     candidates: list[CandidateRecord] = []
+    stage = "weak_learner"  # prefix of the rejection stage
+    try:
+        # Stage 1: weak proper learn on the first slice.
+        weak_slice = s.subset(slice(0, plan.n_weak))
+        batch = default_batch_count(s.d, tau_stage, weak_slice.n)
+        current = weak_proper_learn(weak_slice, cfg, rng, batch)
+        candidates.append(CandidateRecord(0, current, round_delta(0), None))
 
-    def report(hypothesis=None, stage=None):
-        return LearnReport(hypothesis=hypothesis,
-                           candidates=tuple(candidates),
-                           rejection_stage=stage, samples_consumed=consumed,
-                           config=cfg, plan=plan)
+        # Stage 2: localization rounds while the budget lasts.
+        batch = default_batch_count(s.d, tau_stage, EXPECTED_ACCEPT_MIN)
+        for t, (start, end) in enumerate(plan.round_slices):
+            stage = f"round_{t}"
+            consumed += end - start
+            current = localized_update(s.subset(slice(start, end)), current,
+                                       round_delta(t), cfg, rng, batch)
+            candidates.append(CandidateRecord(t + 1, current,
+                                              round_delta(t + 1), None))
 
-    # Stage 1: weak proper learn on the first slice.
-    weak_slice = s.subset(slice(0, plan.n_weak))
-    batch = default_batch_count(s.d, tau_stage, weak_slice.n)
-    outcome = weak_proper_learn(weak_slice, cfg, rng, batch)
-    if not outcome.learned:
-        return report(stage=f"weak_learner.{outcome.rejected_by}")
-    assert outcome.direction is not None
-    candidates.append(CandidateRecord(0, outcome.direction, round_delta(0),
-                                      None))
-
-    # Stage 2: localization rounds while the budget lasts.
-    current = outcome.direction
-    batch = default_batch_count(s.d, tau_stage, EXPECTED_ACCEPT_MIN)
-    for t, (start, end) in enumerate(plan.round_slices):
-        consumed += end - start
-        round_set = s.subset(slice(start, end))
-        update = localized_update(round_set, current, round_delta(t), cfg,
-                                  rng, batch)
-        if not update.updated:
-            return report(stage=f"round_{t}.{update.rejected_by}")
-        assert update.new_direction is not None
-        current = update.new_direction
-        candidates.append(CandidateRecord(t + 1, current, round_delta(t + 1),
-                                          None))
-
-    # Stage 3: wedge-certify every candidate on the shared wedge slice.
-    wedge_points = s.points[plan.wedge_slice[0]:plan.wedge_slice[1]]
-    consumed += plan.wedge_slice[1] - plan.wedge_slice[0]
-    for cand in candidates:
-        for eta in _wedge_schedule(cand.delta, epsilon, eta_min):
-            verdict = wedge_bound_test(wedge_points, cand.direction, eta)
-            if not verdict.certified:
-                return report(stage=(f"wedge.candidate_{cand.round_index}."
-                                     f"{verdict.rejected_by}"))
+        # Stage 3: wedge-certify every candidate on the shared wedge slice.
+        wedge_points = s.points[plan.wedge_slice[0]:plan.wedge_slice[1]]
+        consumed += plan.wedge_slice[1] - plan.wedge_slice[0]
+        for cand in candidates:
+            stage = f"wedge.candidate_{cand.round_index}"
+            for eta in _wedge_schedule(cand.delta, epsilon, eta_min):
+                verdict = wedge_bound_test(wedge_points, cand.direction, eta)
+                if not verdict.certified:
+                    raise Rejected(verdict.rejected_by)
+    except Rejected as rejection:
+        return LearnReport(hypothesis=None, candidates=tuple(candidates),
+                           rejection_stage=f"{stage}.{rejection.tester}",
+                           samples_consumed=consumed, config=cfg, plan=plan)
 
     # Stage 4: pick the candidate with the smallest held-out error.
     selection = s.subset(slice(plan.selection_slice[0],
                                plan.selection_slice[1]))
     consumed += selection.n
     errors = [empirical_error(c.direction, selection) for c in candidates]
-    candidates = [replace(c, empirical_error=err)
-                  for c, err in zip(candidates, errors)]
     best = int(np.argmin(errors))  # argmin keeps the earliest round on ties
-    return report(hypothesis=candidates[best].direction)
+    return LearnReport(hypothesis=candidates[best].direction,
+                       candidates=tuple(replace(c, empirical_error=err)
+                                        for c, err in zip(candidates, errors)),
+                       rejection_stage=None, samples_consumed=consumed,
+                       config=cfg, plan=plan)

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (LabeledSampleSet, UnitVector, _row_blocks, margins,
-                   normalize)
+from .core import (LabeledSampleSet, Rejected, UnitVector, _row_blocks,
+                   margins, normalize)
 
-
-class EmptyLocalizationError(RuntimeError):
-    """Rejection sampling accepted nothing; callers treat this as evidence
-    against the Gaussian marginal."""
+# Rejected.tester when the acceptance rate leaves [sigma/2, 3 sigma/2].
+RATE_CHECK = "rate_check"
 
 
 def _check_sigma(sigma: float) -> float:
@@ -53,7 +51,8 @@ def rejection_sample(s: LabeledSampleSet, v: UnitVector, sigma: float,
 
     Returns the accepted subset and the acceptance rate. Acceptance
     randomness is drawn in sample order from ``rng``, so runs are
-    reproducible. Raises EmptyLocalizationError if nothing survives.
+    reproducible. Raises Rejected(RATE_CHECK) if nothing survives, since
+    a rate of 0 fails the rate check at every sigma.
     Margins, probabilities and draws are taken one block of rows at a time.
     """
     kept = []
@@ -63,8 +62,7 @@ def rejection_sample(s: LabeledSampleSet, v: UnitVector, sigma: float,
                     + rows.start)
     keep = np.concatenate(kept)
     if keep.size == 0:
-        raise EmptyLocalizationError(
-            f"no samples accepted at sigma={sigma} (n={s.n})")
+        raise Rejected(RATE_CHECK)
     return s.subset(keep), keep.size / s.n
 
 

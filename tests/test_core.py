@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector)
-from halflearn.core import (DegenerateVectorError, margins, normalize,
-                            predict_batch)
+from halflearn.core import (DegenerateVectorError, Rejected, margins,
+                            normalize, predict_batch)
 
 from conftest import basis_vector, stdout_with_blas_threads
 
@@ -165,6 +165,15 @@ class TestNormalize:
         a = normalize(v)
         b = normalize(scale * v)
         assert np.allclose(a.coords, b.coords, atol=1e-12)
+
+
+class TestRejected:
+    def test_names_the_tester_and_is_not_a_value_error(self):
+        # cli.main maps ValueError to exit 1; a rejection is a verdict.
+        rejected = Rejected("rate_check")
+        assert rejected.tester == "rate_check"
+        assert isinstance(rejected, Exception)
+        assert not isinstance(rejected, ValueError)
 
 
 class TestRandomUnitVector:

@@ -4,10 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from halflearn import LabeledSampleSet, UnitVector, empirical_error
-from halflearn.core import normalize
+from halflearn.core import Rejected, normalize
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
-from halflearn.localize import (EmptyLocalizationError,
-                                acceptance_probabilities,
+from halflearn.localize import (RATE_CHECK, acceptance_probabilities,
                                 check_unwhitening_error_bound,
                                 rejection_sample, stretch, unwhiten_direction,
                                 whiten)
@@ -81,8 +80,9 @@ class TestAcceptance:
     def test_empty_acceptance_raises(self):
         # A point far out along v has acceptance probability ~ 0.
         s = LabeledSampleSet(np.array([[50.0, 0.0]]), np.array([1]))
-        with pytest.raises(EmptyLocalizationError):
+        with pytest.raises(Rejected) as rejected:
             rejection_sample(s, unit([1, 0]), 0.01, np.random.default_rng(0))
+        assert rejected.value.tester == RATE_CHECK
 
 
 class TestWhiten:

@@ -1,9 +1,9 @@
 """The benchmark's layer spans wrap program functions by module and
 attribute name; a renamed or removed function would leave its per-layer
-metrics at 0. This checks the tables without installing the benchmark's
-wrappers, and checks the moment-kernel call that its product count
-reads. The benchmark's probe also calls the moment API directly; its
-check must pass against this checkout."""
+metrics at 0. This checks the tables, the moment-kernel call that its
+product count reads, and one rejected and one accepted learn call with
+the wrappers installed. The benchmark's probe also calls the moment API
+directly; its check must pass against this checkout."""
 
 import importlib
 import importlib.util
@@ -100,3 +100,27 @@ def test_row_counters_match_the_sets():
     chow = estimate_chow(accepted, 7, rng)
     assert tracing._chow_rows((accepted, 7, rng), {}, chow) == {
         "rows": len(accepted.labels)}
+
+
+def test_traced_calls_close_every_span(monkeypatch):
+    # A rejection raises through the wrapped weak_proper_learn and
+    # localized_update; each wrapper must still close its span.
+    from halflearn import learner
+    from test_learner import _sign_round_orthogonals, cfg, staged
+    tracing = _load("tracing")
+    targets = tracing.LEARN_TARGET + tracing.LAYER_TARGETS
+    for module, attribute, *_ in targets:  # undone after the test
+        module = importlib.import_module(module)
+        monkeypatch.setattr(module, attribute, getattr(module, attribute))
+    tracer = tracing.Tracer()
+    tracer.install(targets)
+    rejected = learner.testable_learn(staged(_sign_round_orthogonals), 0.05,
+                                      0.05, cfg())
+    accepted = learner.testable_learn(staged(), 0.05, 0.05, cfg())
+    assert rejected.rejection_stage == "round_0.moment_test"
+    assert accepted.learned
+    names = {span["name"] for span in tracer.spans}
+    assert {"learner.testable_learn", "weak.weak_proper_learn",
+            "update.localized_update", "wedge.wedge_bound_test"} <= names
+    assert all("end" in span for span in tracer.spans)
+    assert tracer.missing == []

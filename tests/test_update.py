@@ -4,7 +4,7 @@ import pytest
 from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error)
 from halflearn.chow import default_batch_count
-from halflearn.core import normalize, predict_batch
+from halflearn.core import Rejected, normalize, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
 from halflearn.localize import rejection_sample
 from halflearn.update import EXPECTED_ACCEPT_MIN, localized_update
@@ -41,18 +41,20 @@ class TestHalvingStep:
         for seed in range(20):
             s, _ = planted_gaussian(400_000, 8, seed)
             out = update(s, start, 0.01, cfg(seed))
-            assert out.updated
-            hits += np.linalg.norm(
-                out.new_direction.coords - v_star.coords) <= 0.005
+            assert isinstance(out, UnitVector)
+            hits += np.linalg.norm(out.coords - v_star.coords) <= 0.005
         assert hits >= 19
 
     def test_wide_delta_rate_matches(self):
+        # The round's rate: rejection_sample takes the first draws from
+        # the round's rng.
         rates = []
+        v = UnitVector(basis_vector(4, 0))
         for seed in range(20):
             s, _ = planted_gaussian(50_000, 4, seed)
-            out = update(s, UnitVector(basis_vector(4, 0)), 0.5, cfg(seed))
-            assert out.updated
-            rates.append(out.acceptance_rate)
+            assert isinstance(update(s, v, 0.5, cfg(seed)), UnitVector)
+            rates.append(rejection_sample(s, v, 0.5,
+                                          np.random.default_rng(seed))[1])
         assert max(abs(r - 0.5) for r in rates) <= 0.01
 
 
@@ -66,14 +68,16 @@ class TestRateCheck:
         points[:, 0] = rng.uniform(-3.0, 3.0, size=n)
         v = UnitVector(basis_vector(d, 0))
         s = LabeledSampleSet(points, predict_batch(v, points))
-        out = update(s, v, delta, cfg())
-        assert not out.updated
-        assert out.rejected_by == "rate_check"
-        assert out.acceptance_rate < delta / 2
+        with pytest.raises(Rejected) as rejected:
+            update(s, v, delta, cfg())
+        assert rejected.value.tester == "rate_check"
+        rate = rejection_sample(s, v, delta,
+                                np.random.default_rng(cfg().seed))[1]
+        assert rate < delta / 2
         # closed form: (1/6) integral of the acceptance curve over [-3, 3]
         # ~ delta sqrt(2 pi) / 6 for small delta
         expected = delta * np.sqrt(2 * np.pi) / 6
-        assert out.acceptance_rate == pytest.approx(expected, abs=5e-4)
+        assert rate == pytest.approx(expected, abs=5e-4)
 
     def test_inner_moment_rejection_reported(self):
         # Survivors whose orthogonal coordinates are +-1 pass the rate check
@@ -84,9 +88,9 @@ class TestRateCheck:
         points[:, 1:] = rng.choice([-1.0, 1.0], size=(n, d - 1))
         v = UnitVector(basis_vector(d, 0))
         s = LabeledSampleSet(points, predict_batch(v, points))
-        out = update(s, v, 0.02, cfg())
-        assert not out.updated
-        assert out.rejected_by == "moment_test"
+        with pytest.raises(Rejected) as rejected:
+            update(s, v, 0.02, cfg())
+        assert rejected.value.tester == "moment_test"
 
 
 class TestErrorAmplification:
@@ -122,5 +126,7 @@ class TestContract:
         v = UnitVector(basis_vector(4, 0))
         a = update(s, v, 0.1, cfg(7))
         b = update(s, v, 0.1, cfg(7))
-        assert a.acceptance_rate == b.acceptance_rate
-        assert np.array_equal(a.new_direction.coords, b.new_direction.coords)
+        rates = [rejection_sample(s, v, 0.1, np.random.default_rng(7))[1]
+                 for _ in range(2)]
+        assert rates[0] == rates[1]
+        assert np.array_equal(a.coords, b.coords)

@@ -3,8 +3,9 @@ import pytest
 
 from halflearn import LabeledSampleSet, RunConfig, UnitVector
 from halflearn.chow import default_batch_count
-from halflearn.core import predict_batch
+from halflearn.core import Rejected, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
+from halflearn.moment_test import moment_match_test
 from halflearn.weak import weak_proper_learn
 
 from conftest import basis_vector
@@ -39,9 +40,8 @@ class TestLearnBranch:
         for seed in range(20):
             s, v = planted(200_000, 5, seed)
             out = learn(s, cfg(seed))
-            assert out.learned
-            angles.append(np.arccos(
-                np.clip(out.direction.coords @ v.coords, -1, 1)))
+            assert isinstance(out, UnitVector)
+            angles.append(np.arccos(np.clip(out.coords @ v.coords, -1, 1)))
         assert max(angles) <= 0.05
 
     def test_flipped_labels_within_calibrated_bound(self):
@@ -53,8 +53,8 @@ class TestLearnBranch:
             for seed in range(20):
                 s, v = planted(200_000, 8, seed, flip=opt)
                 out = learn(s, cfg(seed))
-                assert out.learned
-                dist = np.linalg.norm(out.direction.coords - v.coords)
+                assert isinstance(out, UnitVector)
+                dist = np.linalg.norm(out.coords - v.coords)
                 assert dist <= 2.0 * np.sqrt(opt + eta), (opt, seed, dist)
 
     def test_direction_scale_invariant(self):
@@ -62,7 +62,7 @@ class TestLearnBranch:
         s, _ = planted(5000, 3, 1)
         a = learn(s, cfg(5))
         b = learn(s, cfg(5))
-        assert np.array_equal(a.direction.coords, b.direction.coords)
+        assert np.array_equal(a.coords, b.coords)
 
 
 class TestRejectBranch:
@@ -71,11 +71,10 @@ class TestRejectBranch:
         points = rng.integers(0, 2, size=(50_000, 5)).astype(float) * 2 - 1
         v = UnitVector(basis_vector(5, 0))
         s = LabeledSampleSet(points, predict_batch(v, points))
-        out = learn(s, cfg())
-        assert not out.learned
-        assert out.direction is None
-        assert not out.moment_report.certified
-        assert out.rejected_by == "moment_test"
+        with pytest.raises(Rejected) as rejected:
+            learn(s, cfg())
+        assert rejected.value.tester == "moment_test"
+        assert not moment_match_test(s, cfg().k_cap).certified
 
     def test_degenerate_chow_reported(self):
         # Mirrored points with equal labels interleaved pairwise: the plain
@@ -88,10 +87,10 @@ class TestRejectBranch:
         points[1::2] = -half
         labels = np.ones(4000, dtype=int)
         s = LabeledSampleSet(points, labels)
-        out = weak_proper_learn(s, cfg(), np.random.default_rng(0), 1)
-        assert not out.learned
-        assert out.moment_report.certified
-        assert out.rejected_by == "degenerate_chow"
+        with pytest.raises(Rejected) as rejected:
+            weak_proper_learn(s, cfg(), np.random.default_rng(0), 1)
+        assert rejected.value.tester == "degenerate_chow"
+        assert moment_match_test(s, cfg().k_cap).certified
 
 
 class TestMomentDegree:
@@ -101,9 +100,10 @@ class TestMomentDegree:
         v = UnitVector(basis_vector(3, 0))
         s = generate(3, 20_000, MarginalFamily("uniform-cube"), v,
                      NoiseModel("clean"), 4)
-        assert learn(s, cfg(k_cap=3)).learned
-        out = learn(s, cfg(k_cap=4))
-        assert out.rejected_by == "moment_test"
+        assert isinstance(learn(s, cfg(k_cap=3)), UnitVector)
+        with pytest.raises(Rejected) as rejected:
+            learn(s, cfg(k_cap=4))
+        assert rejected.value.tester == "moment_test"
 
 
 class TestContract:
