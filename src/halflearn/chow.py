@@ -59,13 +59,24 @@ def estimate_chow(s: LabeledSampleSet, batch_count: int,
     batch_size = s.n // batch_count
     batches = perm[: batch_count * batch_size].reshape(batch_count, batch_size)
     batch_means = np.empty((batch_count, s.d))
-    for mean, rows in zip(batch_means, batches):
-        # Gather one batch, then flip its negative rows in place: the same
-        # bytes as labels * points, since multiplying by -1 or +1 is exact.
-        signed = np.take(s.points, rows, axis=0)
-        np.negative(signed, out=signed, where=s.labels[rows, None] < 0)
-        np.mean(signed, axis=0, out=mean)
-    vector = np.median(batch_means, axis=0)
-    spread = np.median(np.abs(batch_means - vector), axis=0)
+    signed = np.empty((batch_size, s.d))
+    # A batch whose sum leaves the float range gets an inf or NaN mean
+    # without a warning; the weak learner refuses a non-finite estimate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mean, rows in zip(batch_means, batches):
+            # Gather one batch into the shared buffer, then sign its rows
+            # in place: multiplying by -1 or +1 is exact. Every index is
+            # in range; mode="clip" only skips the copy of ``out`` that
+            # the default mode makes.
+            np.take(s.points, rows, axis=0, out=signed, mode="clip")
+            signed *= s.labels[rows, None]
+            np.mean(signed, axis=0, out=mean)
+        # The count is odd, so a median is the middle order statistic.
+        # np.median gives the same bytes but imports numpy.ma (1 MiB) on
+        # its first call.
+        middle = batch_count // 2
+        vector = np.partition(batch_means, middle, axis=0)[middle]
+        spread = np.partition(np.abs(batch_means - vector), middle,
+                              axis=0)[middle]
     return ChowEstimate(vector=vector, batch_count=batch_count,
                         per_coordinate_spread=spread)

@@ -128,7 +128,9 @@ def _parse_ranges(path: Path, skiprows: int) -> list[np.ndarray]:
             worker.start()
             sender.close()
             workers.append((worker, receiver))
-        tables = [_parse_range(path, *ranges[0], skiprows)]
+        # loadtxt reads a path it opens itself faster than a stream.
+        tables = [_loadtxt(path, skiprows) if len(ranges) == 1
+                  else _parse_range(path, *ranges[0], skiprows)]
         for _, receiver in workers:
             shape = receiver.recv()
             if isinstance(shape, Exception):
@@ -186,12 +188,18 @@ def _parse_range(path: Path, start: int, end: int,
     """``np.loadtxt`` on bytes [start, end) of the file, decoded with the
     encoding and universal newlines that ``np.loadtxt(path)`` uses."""
     with path.open("rb", buffering=0) as fh, \
-            io.TextIOWrapper(_ByteRange(fh, start, end)) as text, \
-            warnings.catch_warnings():
+            io.TextIOWrapper(_ByteRange(fh, start, end)) as text:
+        return _loadtxt(text, skiprows)
+
+
+def _loadtxt(source, skiprows: int) -> np.ndarray:
+    """The float64 table of a path or text stream of comma-separated
+    rows."""
+    with warnings.catch_warnings():
         # A range of blank lines adds no rows; it is no error.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
-        return np.loadtxt(text, dtype=np.float64, delimiter=",",
+        return np.loadtxt(source, dtype=np.float64, delimiter=",",
                           comments=None, skiprows=skiprows, ndmin=2)
 
 

@@ -1,13 +1,16 @@
 """Full tester-learner pipeline.
 
-Stage 1 runs the weak proper learner on its own slice of the data. Stage 2
-iterates localization rounds with halving scale delta_t = (1/100) 2^-t,
-each round consuming a fresh slice sized 2 * 1000 / delta_t (the target
-accepted count, oversampled so the rate check's floor still feeds the
-inner learner); rounds run while the localization budget lasts. Stage 3
-certifies every candidate with the wedge tester at that candidate's own
-scale and at the target accuracy. Stage 4 scores every candidate on a
-held-out selection slice and returns the minimizer.
+Stage 1 runs the weak proper learner on its own slice of the data. Its
+moment test runs on a helper thread beside every later stage, none of
+which reads its verdict; the verdict is applied first, so the report is
+the one the stages give when run in turn. Stage 2 iterates localization
+rounds with halving scale delta_t = (1/100) 2^-t, each round consuming a
+fresh slice sized 2 * 1000 / delta_t (the target accepted count,
+oversampled so the rate check's floor still feeds the inner learner);
+rounds run while the localization budget lasts. Stage 3 certifies every
+candidate with the wedge tester at that candidate's own scale and at the
+target accuracy. Stage 4 scores every candidate on a held-out selection
+slice and returns the minimizer.
 
 A tester rejects by raising core.Rejected with its own name. That aborts
 the run with verdict rejected_non_gaussian and a machine-readable stage
@@ -19,6 +22,8 @@ wedge.candidate_1.tv_check).
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -27,7 +32,9 @@ from .core import (LabeledSampleSet, Rejected, RunConfig, UnitVector,
                    empirical_error)
 from .update import EXPECTED_ACCEPT_MIN, localized_update
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
-from .weak import weak_proper_learn
+from .weak import certify_moments, chow_direction
+# Not called here; perfbench/tracing.py wraps it by this name.
+from .weak import weak_proper_learn  # noqa: F401
 from .wedge import smallest_testable_eta, wedge_bound_test
 from .chow import default_batch_count
 
@@ -166,6 +173,34 @@ def _wedge_schedule(delta: float, epsilon: float, eta_min: float) -> list[float]
     return sorted(etas)
 
 
+@contextmanager
+def _beside(task, *args):
+    """Run task(*args) on a helper thread while the with-block runs. On
+    leaving the block, wait for the task and raise its exception, if any,
+    in place of the block's return or Exception. An interrupt or exit
+    from the block still propagates once the task has ended."""
+    raised = []
+
+    def run():
+        try:
+            task(*args)
+        except BaseException as exc:  # raised again on the calling thread
+            raised.append(exc)
+
+    helper = threading.Thread(target=run, name="halflearn-moment-test")
+    helper.start()
+    try:
+        yield
+    except Exception:
+        helper.join()
+        if not raised:
+            raise
+    finally:
+        helper.join()
+    if raised:
+        raise raised[0]
+
+
 def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
                    cfg: RunConfig) -> LearnReport:
     """Run the full tester-learner on a finite sample.
@@ -179,6 +214,21 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
         raise ValueError(f"epsilon, tau = {epsilon!r}, {tau!r} differ from "
                          f"the config's {cfg.epsilon!r}, {cfg.tau!r}")
     plan = plan_budget(s.n, epsilon)
+    weak_slice = s.subset(slice(0, plan.n_weak))
+    try:
+        with _beside(certify_moments, weak_slice, cfg):
+            return _later_stages(s, weak_slice, cfg, plan)
+    except Rejected as rejection:  # only the weak moment test gets here
+        return LearnReport(hypothesis=None, candidates=(),
+                           rejection_stage=f"weak_learner.{rejection.tester}",
+                           samples_consumed=plan.n_weak, config=cfg,
+                           plan=plan)
+
+
+def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
+                  cfg: RunConfig, plan: BudgetPlan) -> LearnReport:
+    """Every stage of testable_learn after the weak moment test, run as if
+    that test had certified."""
     rng = np.random.default_rng(cfg.seed)
 
     eta_min = smallest_testable_eta(plan.wedge_slice[1] - plan.wedge_slice[0])
@@ -187,16 +237,15 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     # Failure budget split across planned tester invocations; only the
     # Chow batch count consumes it.
     invocations = 1 + plan.rounds + 2 * (plan.rounds + 1)
-    tau_stage = tau / invocations
+    tau_stage = cfg.tau / invocations
 
     consumed = plan.n_weak
     candidates: list[CandidateRecord] = []
     stage = "weak_learner"  # prefix of the rejection stage
     try:
-        # Stage 1: weak proper learn on the first slice.
-        weak_slice = s.subset(slice(0, plan.n_weak))
+        # Stage 1: the weak learner's Chow direction on the first slice.
         batch = default_batch_count(s.d, tau_stage, weak_slice.n)
-        current = weak_proper_learn(weak_slice, cfg, rng, batch)
+        current = chow_direction(weak_slice, rng, batch)
         candidates.append(CandidateRecord(0, current, round_delta(0), None))
 
         # Stage 2: localization rounds while the budget lasts.
@@ -214,7 +263,7 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
         consumed += plan.wedge_slice[1] - plan.wedge_slice[0]
         for cand in candidates:
             stage = f"wedge.candidate_{cand.round_index}"
-            for eta in _wedge_schedule(cand.delta, epsilon, eta_min):
+            for eta in _wedge_schedule(cand.delta, cfg.epsilon, eta_min):
                 verdict = wedge_bound_test(wedge_points, cand.direction, eta)
                 if not verdict.certified:
                     raise Rejected(verdict.rejected_by)

@@ -179,16 +179,24 @@ def batch_empirical_moments(points: np.ndarray,
     before = np.cumsum(monomials, axis=1) - monomials
     first = np.clip((degree + 1) // 2 - before, 0, monomials)
     rows, cols = _rank(first), _rank(monomials - first)
-    _, parents, coords = _monomial_tree(d, (int(degree.max()) + 1) // 2)
+    half = (int(degree.max()) + 1) // 2
+    del degree, before, first  # each as large as monomials; not kept
+    _, parents, coords = _monomial_tree(d, half)
     width = -(-(len(parents) + 1) // _WIDTH_MULTIPLE) * _WIDTH_MULTIPLE
     block = max(1, _BLOCK_DOUBLES // width)
     # The table is stored transposed, one contiguous row per column, so
     # every product streams through memory. Rows 1..d are the coordinates,
-    # and every later row is its parent times one of them.
+    # and every later row is its parent times one of them. A row's
+    # children are consecutive rows that take consecutive coordinates, so
+    # one broadcast multiply per parent fills them. Fewer calls mean fewer
+    # waits for the interpreter lock beside testable_learn's other thread.
     table = np.zeros((width, min(block, n)), dtype=np.float64)
     table[0] = 1.0
     gram = np.zeros((width, width), dtype=np.float64)
-    steps = list(zip(parents[d:].tolist(), (coords[d:] + 1).tolist()))
+    firsts = np.flatnonzero(np.diff(parents[d:], prepend=-1)) + d
+    steps = [(int(parents[lo]), int(coords[lo]) + 1, lo + 1, hi + 1)
+             for lo, hi in zip(firsts.tolist(),
+                               firsts[1:].tolist() + [len(parents)])]
     # Only a coordinate far beyond any Gaussian sample overflows (to inf,
     # or NaN after inf - inf). The sum of its squares never turns NaN, so a
     # moment test of degree 2 or more rejects the sample by it.
@@ -197,7 +205,7 @@ def batch_empirical_moments(points: np.ndarray,
             chunk = points[start:start + block]
             z = table[:, :chunk.shape[0]]
             z[1:d + 1] = chunk.T
-            for j, (parent, coord) in enumerate(steps, start=d + 1):
-                np.multiply(z[parent], z[coord], out=z[j])
+            for parent, coord, lo, hi in steps:
+                np.multiply(z[parent], z[coord:coord + hi - lo], out=z[lo:hi])
             gram += z @ z.T
         return gram[rows, cols] / n

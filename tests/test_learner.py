@@ -1,4 +1,8 @@
+import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector, testable_learn)
-from halflearn import update, weak
+from halflearn import learner, update, weak
 from halflearn.chow import ChowEstimate
 from halflearn.core import margins, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate, make_noise
@@ -280,6 +284,151 @@ class TestRejectionStage:
 
     def test_unedited_rows_learn(self):
         assert testable_learn(staged(), 0.05, 0.05, cfg()).learned
+
+
+
+def _sign_weak_rows(points, plan, rng):
+    # Fourth moments 1, not 3: the weak moment test rejects.
+    rows = slice(0, plan.n_weak)
+    points[rows] = rng.choice([-1.0, 1.0], size=points[rows].shape)
+
+
+def _with_weak_rejection(edit):
+    def both(points, plan, rng):
+        _sign_weak_rows(points, plan, rng)
+        edit(points, plan, rng)
+    return both
+
+
+def _slow_moment_test(monkeypatch, seconds=0.3):
+    # The weak moment test ends after every other stage has; the rounds'
+    # own moment tests keep their speed.
+    real = learner.certify_moments
+
+    def slow(*args):
+        time.sleep(seconds)
+        return real(*args)
+
+    monkeypatch.setattr(learner, "certify_moments", slow)
+
+
+def _weak_moment_rejection(report):
+    return (report.rejection_stage == "weak_learner.moment_test"
+            and report.candidates == () and report.hypothesis is None
+            and report.samples_consumed == report.plan.n_weak)
+
+
+class TestMomentTestBeside:
+    """The weak moment test runs on a helper thread beside the later
+    stages; the report is the one the stages give when run in turn."""
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(edit, id=name) for edit, _, name in STAGE_EDITS])
+    def test_weak_rejection_outranks_later_rejections(self, edit):
+        report = testable_learn(staged(_with_weak_rejection(edit)), 0.05,
+                                0.05, cfg())
+        assert _weak_moment_rejection(report)
+
+    def test_weak_rejection_outranks_a_later_error(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("round failed")
+
+        monkeypatch.setattr(learner, "localized_update", broken)
+        report = testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg())
+        assert _weak_moment_rejection(report)
+        with pytest.raises(RuntimeError, match="round failed"):
+            testable_learn(staged(), 0.05, 0.05, cfg())
+
+    def test_interrupt_is_not_outranked(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(learner, "localized_update", interrupted)
+        _slow_moment_test(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg())
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("edit", [None, _uniform_round_margin])
+    def test_moment_test_error_propagates(self, monkeypatch, edit):
+        def broken(*args):
+            raise ZeroDivisionError("moment test failed")
+
+        monkeypatch.setattr(weak, "moment_match_test", broken)
+        with pytest.raises(ZeroDivisionError, match="moment test failed"):
+            testable_learn(staged(edit), 0.05, 0.05, cfg())
+
+    @pytest.mark.parametrize("weak_rows, stage", [
+        pytest.param(None, "weak_learner.degenerate_chow", id="certified"),
+        pytest.param(_sign_weak_rows, "weak_learner.moment_test",
+                     id="rejected"),
+    ])
+    def test_degenerate_chow_waits_for_the_verdict(self, monkeypatch,
+                                                   weak_rows, stage):
+        def zero_chow(s, batch_count, rng):
+            return ChowEstimate(np.zeros(s.d), batch_count, np.zeros(s.d))
+
+        monkeypatch.setattr(weak, "estimate_chow", zero_chow)
+        _slow_moment_test(monkeypatch)
+        report = testable_learn(staged(weak_rows), 0.05, 0.05, cfg())
+        assert report.rejection_stage == stage
+        assert report.candidates == ()
+        assert report.samples_consumed == report.plan.n_weak
+
+    def test_slow_weak_rejection_outranks_a_finished_learner(
+            self, monkeypatch):
+        _slow_moment_test(monkeypatch)
+        assert _weak_moment_rejection(
+            testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg()))
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        _slow_moment_test(monkeypatch)
+        before = threading.active_count()
+        assert testable_learn(staged(), 0.05, 0.05, cfg()).learned
+        assert threading.active_count() == before
+        assert _weak_moment_rejection(
+            testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg()))
+        assert threading.active_count() == before
+
+        def broken(*args):
+            raise RuntimeError("round failed")
+
+        monkeypatch.setattr(learner, "localized_update", broken)
+        with pytest.raises(RuntimeError):
+            testable_learn(staged(), 0.05, 0.05, cfg())
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_match_sequential_ones(self):
+        inputs = [staged(), staged(_sign_round_orthogonals),
+                  staged(_sign_weak_rows)]
+        expected = [json_dumps(testable_learn(s, 0.05, 0.05,
+                                              cfg()).to_json_dict())
+                    for s in inputs]
+        got = [None] * len(inputs)
+        start = threading.Barrier(len(inputs))
+
+        def call(i):
+            start.wait(timeout=60)
+            got[i] = json_dumps(testable_learn(inputs[i], 0.05, 0.05,
+                                               cfg()).to_json_dict())
+
+        # Three callers, each with a helper thread, switching often.
+        callers = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == expected
+        assert [json.loads(g)["rejection_stage"] for g in got] == [
+            None, "round_0.moment_test", "weak_learner.moment_test"]
 
 
 # Orders of the rows of a planted sample; each maps (s, v_star) to a
