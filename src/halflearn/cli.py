@@ -7,13 +7,11 @@ failure, 2 usage error, 3 rejected-non-Gaussian.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import numbers
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +159,10 @@ def run_experiment_task(task: dict) -> dict:
 
 
 def cmd_experiment(args) -> int:
+    # Imported here: `learn` and `generate` never load them.
+    import csv
+    from concurrent.futures import ProcessPoolExecutor
+
     if args.workers < 1:
         print(f"error: --workers must be at least 1, got {args.workers}",
               file=sys.stderr)

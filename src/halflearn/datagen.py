@@ -122,6 +122,19 @@ def _draw_points(d: int, n: int, marginal: MarginalFamily,
     raise AssertionError(marginal.kind)
 
 
+def _nearest(distance: np.ndarray, k: int) -> np.ndarray:
+    """The rows a stable argsort of distance puts first k, in ascending
+    row order: every row below the k-th smallest distance, then the
+    lowest rows equal to it."""
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
+    cut = np.partition(distance, k - 1)[k - 1]
+    keep = distance < cut
+    ties = np.flatnonzero(distance == cut)
+    keep[ties[:k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
 def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
              noise: NoiseModel, seed: int) -> LabeledSampleSet:
     """Draw n labeled samples with planted normal v_star.
@@ -146,14 +159,16 @@ def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
         flip = rng.random(n) < noise.opt
     else:
         flip = np.zeros(n, dtype=bool)
-        nearest = np.argsort(np.abs(m), kind="stable")
+        distance = np.abs(m)
         count = int(noise.opt * n)
         if noise.kind == BOUNDARY_FLIP:
-            flip[nearest[:count]] = True
+            flip[_nearest(distance, count)] = True
         else:  # WEDGE_FLIP
             # The rows of a band twice as wide that lie furthest along a
             # random direction: a wedge at the boundary.
-            pool = nearest[:int(min(2.0 * noise.opt, 1.0) * n)]
+            pool = _nearest(distance, int(min(2.0 * noise.opt, 1.0) * n))
+            # In a stable sort's order, which the tie-break below reads.
+            pool = pool[np.argsort(distance[pool], kind="stable")]
             along = margins(points[pool], random_unit_vector(d, rng))
             flip[pool[np.argsort(-along, kind="stable")[:count]]] = True
     labels = np.where(flip, -labels, labels)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -173,34 +172,6 @@ def _wedge_schedule(delta: float, epsilon: float, eta_min: float) -> list[float]
     return sorted(etas)
 
 
-@contextmanager
-def _beside(task, *args):
-    """Run task(*args) on a helper thread while the with-block runs. On
-    leaving the block, wait for the task and raise its exception, if any,
-    in place of the block's return or Exception. An interrupt or exit
-    from the block still propagates once the task has ended."""
-    raised = []
-
-    def run():
-        try:
-            task(*args)
-        except BaseException as exc:  # raised again on the calling thread
-            raised.append(exc)
-
-    helper = threading.Thread(target=run, name="halflearn-moment-test")
-    helper.start()
-    try:
-        yield
-    except Exception:
-        helper.join()
-        if not raised:
-            raise
-    finally:
-        helper.join()
-    if raised:
-        raise raised[0]
-
-
 def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
                    cfg: RunConfig) -> LearnReport:
     """Run the full tester-learner on a finite sample.
@@ -215,14 +186,33 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
                          f"the config's {cfg.epsilon!r}, {cfg.tau!r}")
     plan = plan_budget(s.n, epsilon)
     weak_slice = s.subset(slice(0, plan.n_weak))
+    raised = []  # what the weak moment test raised, if anything
+
+    def moment_test():
+        try:
+            certify_moments(weak_slice, cfg)
+        except BaseException as exc:  # raised again on the calling thread
+            raised.append(exc)
+
+    # The later stages run beside the moment test; its verdict outranks
+    # their report or Exception, not an interrupt or exit on this thread.
+    helper = threading.Thread(target=moment_test, name="halflearn-moment-test")
+    helper.start()
     try:
-        with _beside(certify_moments, weak_slice, cfg):
-            return _later_stages(s, weak_slice, cfg, plan)
-    except Rejected as rejection:  # only the weak moment test gets here
-        return LearnReport(hypothesis=None, candidates=(),
-                           rejection_stage=f"weak_learner.{rejection.tester}",
-                           samples_consumed=plan.n_weak, config=cfg,
-                           plan=plan)
+        report = _later_stages(s, weak_slice, cfg, plan)
+    except Exception:
+        helper.join()
+        if not raised:
+            raise
+    finally:
+        helper.join()
+    if not raised:
+        return report
+    if not isinstance(raised[0], Rejected):
+        raise raised[0]
+    return LearnReport(hypothesis=None, candidates=(),
+                       rejection_stage=f"weak_learner.{raised[0].tester}",
+                       samples_consumed=plan.n_weak, config=cfg, plan=plan)
 
 
 def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,

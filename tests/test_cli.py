@@ -5,6 +5,7 @@ import subprocess
 
 import numpy as np
 import pytest
+from conftest import stdout_with_blas_threads
 
 from halflearn import LabeledSampleSet, UnitVector, cli, io
 from halflearn.cli import main
@@ -354,6 +355,14 @@ class TestExperiment:
                     for line in lines]
 
         assert stable_columns(serial) == stable_columns(pooled)
+
+
+def test_import_leaves_experiment_modules_unloaded():
+    # Only `experiment` uses them; `learn` and `generate` skip the import.
+    script = ("import sys, halflearn.cli\n"
+              "print(sorted({'csv', 'concurrent.futures'} "
+              "& set(sys.modules)))")
+    assert stdout_with_blas_threads(script, 1) == b"[]\n"
 
 
 def test_console_script_installed():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from halflearn import UnitVector, empirical_error
-from halflearn.core import predict_batch
-from halflearn.datagen import (MarginalFamily, NoiseModel, generate,
-                               make_noise)
+from halflearn import UnitVector, empirical_error, random_unit_vector
+from halflearn.core import margins, predict_batch
+from halflearn.datagen import (MarginalFamily, NoiseModel, _nearest,
+                               generate, make_noise)
 from halflearn.moment_test import moment_match_test
 
 from conftest import basis_vector
@@ -63,6 +63,40 @@ class TestNoiseModels:
         margins = np.abs(wedge.points @ v_star().coords)
         band = np.sort(margins)[int(2 * opt * n) - 1]
         assert margins[flipped].max() <= band
+
+    @pytest.mark.parametrize("k", [0, 1, 1000, 2000, 3999, 4000])
+    def test_nearest_rows_match_a_stable_sort(self, k):
+        # Rademacher rows give |margin| 0, 1 or 2 along (1, 1, 1, 1) / 2,
+        # so every cut inside the sample falls in a run of exact ties.
+        points = generate(4, 4000, MarginalFamily("rademacher"), v_star(4),
+                          NoiseModel("clean"), 6).points
+        distance = np.abs(margins(points, UnitVector(np.full(4, 0.5))))
+        stable = np.argsort(distance, kind="stable")[:k]
+        nearest = _nearest(distance, k)
+        assert np.array_equal(nearest, np.sort(stable))
+        assert np.array_equal(
+            nearest[np.argsort(distance[nearest], kind="stable")], stable)
+        if 0 < k < 4000:
+            assert np.count_nonzero(distance == distance[stable[-1]]) > 1
+
+    def test_wedge_flip_breaks_ties_as_a_stable_sort(self):
+        # Rademacher rows tie in |margin| at the pool's cut and in the
+        # wedge direction at the flip count's cut; a stable sort breaks
+        # both ties by row.
+        d, n, opt, seed = 4, 4000, 0.3, 6
+        v = UnitVector(np.full(d, 0.5))
+        s = generate(d, n, MarginalFamily("rademacher"), v,
+                     NoiseModel("wedge-flip", opt), seed)
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2, size=(n, d))  # the points' draws
+        along = margins(s.points, random_unit_vector(d, rng))
+        pool = np.argsort(np.abs(margins(s.points, v)),
+                          kind="stable")[:int(2 * opt * n)]
+        flipped = pool[np.argsort(-along[pool], kind="stable")[:int(opt * n)]]
+        assert np.count_nonzero(along[pool] == along[flipped[-1]]) > 1
+        clean = predict_batch(v, s.points)
+        assert np.array_equal(np.flatnonzero(clean != s.labels),
+                              np.sort(flipped))
 
     def test_every_model_witnesses_opt(self):
         for kind, opt in (("random-flip", 0.08), ("boundary-flip", 0.08),

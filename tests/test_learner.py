@@ -350,6 +350,19 @@ class TestMomentTestBeside:
             testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg())
         assert threading.active_count() == before
 
+    def test_exit_in_the_moment_test_propagates(self, monkeypatch):
+        def exits(*args):
+            raise SystemExit(7)
+
+        # Only the helper thread calls this name; the rounds' own moment
+        # tests run as before.
+        monkeypatch.setattr(learner, "certify_moments", exits)
+        before = threading.active_count()
+        with pytest.raises(SystemExit) as exited:
+            testable_learn(staged(), 0.05, 0.05, cfg())
+        assert exited.value.code == 7
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("edit", [None, _uniform_round_margin])
     def test_moment_test_error_propagates(self, monkeypatch, edit):
         def broken(*args):
