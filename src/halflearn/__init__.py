@@ -7,8 +7,15 @@ bounds, localization rate checks) and returns a trustworthy halfspace, or
 rejects the data. See the README for the pipeline and the CLI.
 
 The names below are the public surface; the testers and their helpers
-are importable from their modules (``halflearn.wedge``,
-``halflearn.moment_test``, ...).
+are importable from their modules, one per stage or primitive:
+
+- ``core``: sample sets, unit vectors, the run config, ``Rejected``;
+- ``moments`` and ``moment_test``: Gaussian moments and the moment tester;
+- ``weak``: stage 1, moment certification and the robust Chow direction;
+- ``update``: stage 2, one soft-localization round;
+- ``wedge``: stage 3, the wedge tester;
+- ``learner``: the pipeline, selection and the report;
+- ``datagen``, ``io`` and ``cli``: synthetic data, file formats, commands.
 """
 
 from .core import (LabeledSampleSet, RunConfig, UnitVector, empirical_error,

@@ -43,10 +43,16 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # Only a .csv or .json ending is dropped from --out: the dot in a name
+    # such as eps_0.05 is part of the name.
     out = Path(args.out)
+    if out.suffix in (".csv", ".json"):
+        out = out.with_suffix("")
+    csv_path = out.with_name(out.name + ".csv")
+    json_path = out.with_name(out.name + ".json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_samples_csv(out.with_suffix(".csv"), s, header=args.header)
-    out.with_suffix(".json").write_text(json_dumps({
+    write_samples_csv(csv_path, s, header=args.header)
+    json_path.write_text(json_dumps({
         "d": args.d,
         "n": args.n,
         "marginal": marginal.to_json_dict(),
@@ -54,7 +60,7 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
         "v_star": v_star.coords.tolist(),
     }))
-    print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
+    print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
 
@@ -201,6 +207,8 @@ def cmd_experiment(args) -> int:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO
     out_path = Path(args.out)
+    # Before the sweep, so an unwritable --out costs no task.
+    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -209,7 +217,6 @@ def cmd_experiment(args) -> int:
         rows = [run_experiment_task(task) for task in tasks]
     rows.sort(key=lambda r: (r["cell_index"], r["seed"]))
 
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_FIELDS)
         writer.writeheader()

@@ -31,11 +31,10 @@ from .core import (LabeledSampleSet, Rejected, RunConfig, UnitVector,
                    empirical_error)
 from .update import EXPECTED_ACCEPT_MIN, localized_update
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
-from .weak import certify_moments, chow_direction
+from .weak import certify_moments, chow_direction, default_batch_count
 # Not called here; perfbench/tracing.py wraps it by this name.
 from .weak import weak_proper_learn  # noqa: F401
 from .wedge import smallest_testable_eta, wedge_bound_test
-from .chow import default_batch_count
 
 DELTA_0 = 1.0 / 100.0
 

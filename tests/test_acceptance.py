@@ -14,13 +14,13 @@ import pytest
 
 from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector, testable_learn)
-from halflearn.chow import default_batch_count, estimate_chow
 from halflearn.core import normalize, predict_batch
-from halflearn.localize import (check_unwhitening_error_bound,
-                                rejection_sample, stretch, unwhiten_direction)
 from halflearn.moments import gaussian_moments, monomial_exponents
 from halflearn.datagen import MarginalFamily, generate, make_noise
 from halflearn.io import json_dumps
+from halflearn.update import (check_unwhitening_error_bound,
+                              rejection_sample, stretch, unwhiten_direction)
+from halflearn.weak import default_batch_count, estimate_chow
 from halflearn.wedge import verify_wedge_certificate, wedge_bound_test
 
 ROOT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))

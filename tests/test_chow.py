@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from halflearn import LabeledSampleSet, UnitVector
-from halflearn.chow import default_batch_count, estimate_chow
 from halflearn.core import predict_batch
+from halflearn.weak import default_batch_count, estimate_chow
 
 from conftest import basis_vector
 

@@ -65,6 +65,19 @@ class TestGenerate:
         assert meta["marginal"] == {"kind": "scaled-gaussian", "axis": 2,
                                     "factor": 3.0}
 
+    @pytest.mark.parametrize("out, stem", [
+        ("eps_0.05", "eps_0.05"), ("eps_0.05.csv", "eps_0.05"),
+        ("eps_0.05.json", "eps_0.05"), ("run7", "run7"),
+        ("run7.csv", "run7"), ("run7.txt", "run7.txt")])
+    def test_out_keeps_every_dot_but_its_own_suffix(self, tmp_path, out,
+                                                    stem):
+        code = run(["generate", "--d", "3", "--n", "50", "--marginal",
+                    "gaussian", "--seed", "1", "--out",
+                    str(tmp_path / "runs" / out)])
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            f"{stem}.csv", f"{stem}.json"]
+
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             run(["generate", "--d", "3", "--n", "10", "--marginal",
@@ -312,6 +325,22 @@ class TestExperiment:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_path.exists()
+
+    def test_unwritable_out_fails_before_any_task(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def never(task):
+            raise AssertionError("a task ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment_task", never)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"grid": {"d": [4], "n": [340000]},
+                                         "seeds": [0]}))
+        blocker = tmp_path / "some_file"
+        blocker.write_text("")
+        code = run(["experiment", "--spec", str(spec_path), "--out",
+                    str(blocker / "rows.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_crashing_cells_recorded_and_counted(self, tmp_path,
                                                  monkeypatch):

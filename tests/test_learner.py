@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error, random_unit_vector, testable_learn)
 from halflearn import learner, update, weak
-from halflearn.chow import ChowEstimate
 from halflearn.core import margins, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate, make_noise
 from halflearn.io import json_dumps
 from halflearn.learner import max_rounds, plan_budget, round_raw_size
 from halflearn.weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
+from halflearn.weak import ChowEstimate
 from halflearn.wedge import min_sample_count
 
 

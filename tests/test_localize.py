@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from halflearn import LabeledSampleSet, UnitVector, empirical_error
 from halflearn.core import Rejected, normalize
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
-from halflearn.localize import (RATE_CHECK, acceptance_probabilities,
-                                check_unwhitening_error_bound,
-                                rejection_sample, stretch, unwhiten_direction,
-                                whiten)
+from halflearn.update import (RATE_CHECK, acceptance_probabilities,
+                              check_unwhitening_error_bound,
+                              rejection_sample, stretch, unwhiten_direction,
+                              whiten)
 
 from conftest import basis_vector
 

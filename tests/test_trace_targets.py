@@ -84,9 +84,9 @@ def test_row_counters_match_the_sets():
     # the sets of real calls; a counter that raised would only be listed
     # as missing, and its metric would read 0.
     from halflearn import LabeledSampleSet
-    from halflearn.chow import estimate_chow
     from halflearn.core import normalize
-    from halflearn.localize import rejection_sample
+    from halflearn.update import rejection_sample
+    from halflearn.weak import estimate_chow
     tracing = _load("tracing")
     rng = np.random.default_rng(0)
     s = LabeledSampleSet(rng.standard_normal((20_000, 6)),
@@ -119,8 +119,9 @@ def test_traced_calls_close_every_span(monkeypatch):
     accepted = learner.testable_learn(staged(), 0.05, 0.05, cfg())
     assert rejected.rejection_stage == "round_0.moment_test"
     assert accepted.learned
+    # Every layer spans at least once; a target bound at import by its
+    # caller, instead of looked up in its module, would record nothing.
     names = {span["name"] for span in tracer.spans}
-    assert {"learner.testable_learn", "weak.weak_proper_learn",
-            "update.localized_update", "wedge.wedge_bound_test"} <= names
+    assert names == {name for _, _, name, _ in targets}
     assert all("end" in span for span in tracer.spans)
     assert tracer.missing == []

@@ -3,11 +3,11 @@ import pytest
 
 from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error)
-from halflearn.chow import default_batch_count
 from halflearn.core import Rejected, normalize, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
-from halflearn.localize import rejection_sample
-from halflearn.update import EXPECTED_ACCEPT_MIN, localized_update
+from halflearn.update import (EXPECTED_ACCEPT_MIN, localized_update,
+                              rejection_sample)
+from halflearn.weak import default_batch_count
 
 from conftest import basis_vector
 

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from halflearn import LabeledSampleSet, RunConfig, UnitVector
-from halflearn.chow import default_batch_count
 from halflearn.core import Rejected, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
 from halflearn.moment_test import moment_match_test
-from halflearn.weak import weak_proper_learn
+from halflearn.weak import default_batch_count, weak_proper_learn
 
 from conftest import basis_vector
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from halflearn import LabeledSampleSet, RunConfig, testable_learn
-from halflearn.chow import estimate_chow
 from halflearn.core import empirical_error, margins, normalize
-from halflearn.localize import rejection_sample
+from halflearn.update import rejection_sample
+from halflearn.weak import estimate_chow
 from halflearn.wedge import wedge_bound_test
 
 from conftest import stdout_with_blas_threads
