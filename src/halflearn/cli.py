@@ -7,6 +7,7 @@ failure, 2 usage error, 3 rejected-non-Gaussian.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import numbers
@@ -64,6 +65,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _output_path(out: str) -> Path:
+    """--out with its parent created; called before any work, so that a
+    directory or an uncreatable parent exits 1 before the run, not after."""
+    path = Path(out)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def cmd_learn(args) -> int:
     try:
         cfg = RunConfig(epsilon=args.epsilon, tau=args.tau, seed=args.seed,
@@ -71,6 +82,7 @@ def cmd_learn(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = _output_path(args.out)
     try:
         samples = read_samples_csv(args.input)
         digest = file_sha256(args.input)
@@ -80,8 +92,6 @@ def cmd_learn(args) -> int:
     report = testable_learn(samples, args.epsilon, args.tau, cfg)
     payload = report.to_json_dict()
     payload["input_csv_sha256"] = digest
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json_dumps(payload))
     print(f"verdict: {report.verdict}"
           + (f" ({report.rejection_stage})" if report.rejection_stage else ""))
@@ -206,9 +216,7 @@ def cmd_experiment(args) -> int:
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO
-    out_path = Path(args.out)
-    # Before the sweep, so an unwritable --out costs no task.
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _output_path(args.out)
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -30,7 +30,7 @@ SLACK = 6.0
 
 
 class DegenerateVectorError(ValueError):
-    """Vector norm is at or below the normalization floor."""
+    """Vector norm is at or below the normalization floor, or not finite."""
 
 
 class Rejected(Exception):
@@ -211,11 +211,13 @@ def empirical_error(normal: UnitVector, s: LabeledSampleSet) -> float:
 
 
 def normalize(v: np.ndarray) -> UnitVector:
-    """v / ||v||; raises DegenerateVectorError at or below the norm floor."""
+    """v / ||v||; raises DegenerateVectorError at or below the norm floor,
+    or when the norm is not finite, as when its squares overflow."""
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if not norm > NORM_FLOOR:
-        raise DegenerateVectorError(f"norm {norm!r} is at or below {NORM_FLOOR}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not NORM_FLOOR < norm < np.inf:
+        raise DegenerateVectorError(f"norm {norm!r} is not in ({NORM_FLOOR}, inf)")
     return UnitVector(v / norm)
 
 

@@ -31,7 +31,7 @@ from .core import (LabeledSampleSet, Rejected, RunConfig, UnitVector,
                    empirical_error)
 from .update import EXPECTED_ACCEPT_MIN, localized_update
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
-from .weak import certify_moments, chow_direction, default_batch_count
+from .weak import certify_moments, chow_direction
 # Not called here; perfbench/tracing.py wraps it by this name.
 from .weak import weak_proper_learn  # noqa: F401
 from .wedge import smallest_testable_eta, wedge_bound_test
@@ -224,7 +224,7 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
     assert eta_min is not None  # plan_budget guarantees it
 
     # Failure budget split across planned tester invocations; only the
-    # Chow batch count consumes it.
+    # Chow estimates spend it, each sizing its batches from its own rows.
     invocations = 1 + plan.rounds + 2 * (plan.rounds + 1)
     tau_stage = cfg.tau / invocations
 
@@ -233,17 +233,15 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
     stage = "weak_learner"  # prefix of the rejection stage
     try:
         # Stage 1: the weak learner's Chow direction on the first slice.
-        batch = default_batch_count(s.d, tau_stage, weak_slice.n)
-        current = chow_direction(weak_slice, rng, batch)
+        current = chow_direction(weak_slice, rng, tau_stage)
         candidates.append(CandidateRecord(0, current, round_delta(0), None))
 
         # Stage 2: localization rounds while the budget lasts.
-        batch = default_batch_count(s.d, tau_stage, EXPECTED_ACCEPT_MIN)
         for t, (start, end) in enumerate(plan.round_slices):
             stage = f"round_{t}"
             consumed += end - start
             current = localized_update(s.subset(slice(start, end)), current,
-                                       round_delta(t), cfg, rng, batch)
+                                       round_delta(t), cfg, rng, tau_stage)
             candidates.append(CandidateRecord(t + 1, current,
                                               round_delta(t + 1), None))
 

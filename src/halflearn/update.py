@@ -113,7 +113,7 @@ def check_unwhitening_error_bound(v_star: UnitVector, v: UnitVector,
 
 def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
                      cfg: RunConfig, rng: np.random.Generator,
-                     batch_count: int) -> UnitVector:
+                     tau: float) -> UnitVector:
     """Refine v at scale delta, or reject the marginal.
 
     Localizes with sigma = delta. Under a Gaussian marginal the acceptance
@@ -121,8 +121,9 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
     rejection evidence, raised as Rejected(RATE_CHECK) (the interval is
     taken verbatim; the accepted-count precondition keeps binomial noise
     well inside it). Otherwise the accepted samples are whitened, handed
-    to the weak learner, whose Rejected passes through, and the learned
-    direction is transported back through the inverse map.
+    to the weak learner with the Chow failure budget tau, whose Rejected
+    passes through, and the learned direction is transported back through
+    the inverse map.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
@@ -134,6 +135,5 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
     accepted, rate = rejection_sample(s, v, delta, rng)
     if not delta / 2.0 <= rate <= 3.0 * delta / 2.0:
         raise Rejected(RATE_CHECK)
-    inner = weak_proper_learn(whiten(accepted, v, delta), cfg, rng,
-                              batch_count)
+    inner = weak_proper_learn(whiten(accepted, v, delta), cfg, rng, tau)
     return unwhiten_direction(inner, v, delta)

@@ -10,7 +10,10 @@ constant accuracy; the localization loop does the rest.
 The Chow estimate is the coordinate-wise median of batch means: a
 constant fraction of wild batches moves each coordinate no further than
 the clean batches' range, which is what makes the estimate stable under
-adversarial label noise.
+adversarial label noise. An estimate is given its failure budget tau
+(the pipeline's per-tester share of the run's tau) and sizes itself from
+the rows it reads: 2 ceil(ln(d / tau)) + 1 batches, clamped so that
+every batch keeps at least 10 rows.
 
 The Chow direction does not read the moment verdict, so the two steps are
 also callable apart.
@@ -108,8 +111,8 @@ def certify_moments(s: LabeledSampleSet, cfg: RunConfig) -> None:
 
 
 def chow_direction(s: LabeledSampleSet, rng: np.random.Generator,
-                   batch_count: int) -> UnitVector:
-    """The normalized robust Chow estimate of s.
+                   tau: float) -> UnitVector:
+    """The normalized robust Chow estimate of s, with failure budget tau.
 
     A Chow vector with norm at the degeneracy floor is itself rejection
     evidence, raised as Rejected(DEGENERATE_CHOW): an actual halfspace
@@ -117,23 +120,21 @@ def chow_direction(s: LabeledSampleSet, rng: np.random.Generator,
     by label noise), far above the floor. So is a norm beyond the float
     range, which only coordinates that the moment test rejects can give.
     """
-    vector = estimate_chow(s, batch_count, rng).vector
+    estimate = estimate_chow(s, default_batch_count(s.d, tau, s.n), rng)
     try:
-        if np.isfinite(np.linalg.norm(vector)):
-            return normalize(vector)
+        return normalize(estimate.vector)
     except DegenerateVectorError:
-        pass
-    raise Rejected(DEGENERATE_CHOW)
+        raise Rejected(DEGENERATE_CHOW) from None
 
 
 def weak_proper_learn(s: LabeledSampleSet, cfg: RunConfig,
-                      rng: np.random.Generator,
-                      batch_count: int) -> UnitVector:
-    """Moment certification followed by a normalized robust Chow estimate.
+                      rng: np.random.Generator, tau: float) -> UnitVector:
+    """Moment certification followed by a normalized robust Chow estimate
+    with failure budget tau.
 
     A moment rejection short-circuits before any Chow estimation.
     """
     if s.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {s.n}")
     certify_moments(s, cfg)
-    return chow_direction(s, rng, batch_count)
+    return chow_direction(s, rng, tau)

@@ -231,6 +231,20 @@ class TestLearn:
                     str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_directory_out_exits_one_before_reading(self, gaussian_csv,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        def never(path):
+            raise AssertionError("the input was read before --out was checked")
+
+        monkeypatch.setattr(cli, "read_samples_csv", never)
+        capsys.readouterr()
+        code = run(["learn", "--in", str(gaussian_csv.with_suffix(".csv")),
+                    "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
     def test_report_bytes_reproducible(self, gaussian_csv, tmp_path, capsys,
                                        monkeypatch):
         # One CPU reads the file as one byte range, three CPUs as three.
@@ -341,6 +355,24 @@ class TestExperiment:
                     str(blocker / "rows.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_out_fails_before_any_task(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def never(task):
+            raise AssertionError("a task ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment_task", never)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"grid": {"d": [4], "n": [340000]},
+                                         "seeds": [0, 1]}))
+        out_dir = tmp_path / "rows.csv"
+        out_dir.mkdir()
+        code = run(["experiment", "--spec", str(spec_path), "--out",
+                    str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 21] Is a directory: '{out_dir}'\n")
+        assert list(out_dir.iterdir()) == []
 
     def test_crashing_cells_recorded_and_counted(self, tmp_path,
                                                  monkeypatch):

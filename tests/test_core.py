@@ -159,6 +159,12 @@ class TestNormalize:
         with pytest.raises(DegenerateVectorError):
             normalize(np.array([1e-15, 0.0]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300])
+    def test_non_finite_norm(self, value):
+        # 1e300's squares overflow; no RuntimeWarning escapes.
+        with pytest.raises(DegenerateVectorError):
+            normalize(np.array([value, 1.0]))
+
     @given(scale=st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariant(self, scale):
         v = np.array([1.0, -2.0, 0.5])

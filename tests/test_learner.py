@@ -565,3 +565,30 @@ class TestContract:
         s, _ = planted(5_000, 5, 0)
         with pytest.raises(ValueError, match="budget insufficient"):
             testable_learn(s, 0.05, 0.05, cfg())
+
+
+class TestChowBudget:
+    def test_tiny_tau_sizes_each_estimate_from_its_rows(self, monkeypatch):
+        # At tau = 1e-100 the unclamped count 2 ceil(ln(d / tau')) + 1 is
+        # about 470, so a count sized for a round's expected 2000 accepted
+        # rows is the clamp, 199. The rate check admits as few as 1000,
+        # and here round 0 accepts 1987, fewer than 10 x 199. Each
+        # estimate is sized from its own rows, at least 10 a batch.
+        real = weak.estimate_chow
+        calls = []
+
+        def chow(s, batch_count, rng):
+            calls.append((s.n, batch_count))
+            return real(s, batch_count, rng)
+
+        monkeypatch.setattr(weak, "estimate_chow", chow)
+        v = random_unit_vector(8, np.random.default_rng(0))
+        s = generate(8, 600_000, MarginalFamily("gaussian"), v,
+                     make_noise("random-flip", 0.05), 0)
+        c = RunConfig(epsilon=0.05, tau=1e-100, seed=15)
+        report = testable_learn(s, c.epsilon, c.tau, c)
+        assert report.learned
+        assert len(calls) == len(report.candidates) == 2
+        assert all(rows >= 10 * count for rows, count in calls)
+        assert calls[1][0] < 10 * weak.default_batch_count(
+            8, c.tau, update.EXPECTED_ACCEPT_MIN)

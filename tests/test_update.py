@@ -5,9 +5,7 @@ from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
                        empirical_error)
 from halflearn.core import Rejected, normalize, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
-from halflearn.update import (EXPECTED_ACCEPT_MIN, localized_update,
-                              rejection_sample)
-from halflearn.weak import default_batch_count
+from halflearn.update import localized_update, rejection_sample
 
 from conftest import basis_vector
 
@@ -17,11 +15,10 @@ def cfg(seed=0):
 
 
 def update(s, v, delta, c):
-    """localized_update seeded from c.seed, with the pipeline's batch-count
-    formula at c.tau (the pipeline uses a per-tester share of tau)."""
+    """localized_update seeded from c.seed, with Chow failure budget c.tau
+    (the pipeline gives it a per-tester share of tau)."""
     return localized_update(s, v, delta, c, np.random.default_rng(c.seed),
-                            default_batch_count(s.d, c.tau,
-                                                EXPECTED_ACCEPT_MIN))
+                            c.tau)
 
 
 def planted_gaussian(n, d, seed):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from halflearn import LabeledSampleSet, RunConfig, UnitVector
+from halflearn import LabeledSampleSet, RunConfig, UnitVector, weak
 from halflearn.core import Rejected, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate
 from halflearn.moment_test import moment_match_test
-from halflearn.weak import default_batch_count, weak_proper_learn
+from halflearn.weak import ChowEstimate, weak_proper_learn
 
 from conftest import basis_vector
 
@@ -15,11 +15,9 @@ def cfg(seed=0, k_cap=4):
 
 
 def learn(s, c):
-    """weak_proper_learn seeded from c.seed, with a batch count computed
-    from c.tau; the pipeline computes its count from a per-tester share of
-    tau instead."""
-    return weak_proper_learn(s, c, np.random.default_rng(c.seed),
-                             default_batch_count(s.d, c.tau, s.n))
+    """weak_proper_learn seeded from c.seed, with Chow failure budget
+    c.tau; the pipeline gives it a per-tester share of tau instead."""
+    return weak_proper_learn(s, c, np.random.default_rng(c.seed), c.tau)
 
 
 def planted(n, d, seed, flip=0.0):
@@ -75,19 +73,16 @@ class TestRejectBranch:
         assert rejected.value.tester == "moment_test"
         assert not moment_match_test(s, cfg().k_cap).certified
 
-    def test_degenerate_chow_reported(self):
-        # Mirrored points with equal labels interleaved pairwise: the plain
-        # mean of y x cancels exactly, so the Chow direction degenerates
-        # while the x-marginal still passes the moment test.
-        rng = np.random.default_rng(3)
-        half = rng.standard_normal((2000, 3))
-        points = np.empty((4000, 3))
-        points[0::2] = half
-        points[1::2] = -half
-        labels = np.ones(4000, dtype=int)
-        s = LabeledSampleSet(points, labels)
+    def test_degenerate_chow_reported(self, monkeypatch):
+        # An all-zero Chow estimate on a marginal that passes the moment
+        # test: the direction degenerates after certification.
+        def zero_chow(s, batch_count, rng):
+            return ChowEstimate(np.zeros(s.d), batch_count, np.zeros(s.d))
+
+        monkeypatch.setattr(weak, "estimate_chow", zero_chow)
+        s, _ = planted(4000, 3, 3)
         with pytest.raises(Rejected) as rejected:
-            weak_proper_learn(s, cfg(), np.random.default_rng(0), 1)
+            learn(s, cfg())
         assert rejected.value.tester == "degenerate_chow"
         assert moment_match_test(s, cfg().k_cap).certified
 
