@@ -32,6 +32,11 @@ EXIT_REJECTED = 3
 
 
 def cmd_generate(args) -> int:
+    # Only a .csv or .json ending is dropped from --out: the dot in a name
+    # such as eps_0.05 is part of the name.
+    out = Path(args.out)
+    if out.suffix in (".csv", ".json"):
+        out = out.with_suffix("")
     # Every ValueError before the files are written comes from a flag.
     try:
         marginal = MarginalFamily(kind=args.marginal, axis=args.scale_axis,
@@ -40,18 +45,12 @@ def cmd_generate(args) -> int:
         noise = make_noise(args.noise, args.opt)
         v_star = random_unit_vector(args.d, np.random.default_rng(
             np.random.SeedSequence([args.seed, 0xA5])))
+        csv_path = _output_path(out.with_name(out.name + ".csv"))
+        json_path = _output_path(out.with_name(out.name + ".json"))
         s = generate(args.d, args.n, marginal, v_star, noise, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Only a .csv or .json ending is dropped from --out: the dot in a name
-    # such as eps_0.05 is part of the name.
-    out = Path(args.out)
-    if out.suffix in (".csv", ".json"):
-        out = out.with_suffix("")
-    csv_path = out.with_name(out.name + ".csv")
-    json_path = out.with_name(out.name + ".json")
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_samples_csv(csv_path, s, header=args.header)
     json_path.write_text(json_dumps({
         "d": args.d,
@@ -65,12 +64,12 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _output_path(out: str) -> Path:
-    """--out with its parent created; called before any work, so that a
+def _output_path(out: str | Path) -> Path:
+    """A path with its parent created; called before any work, so that a
     directory or an uncreatable parent exits 1 before the run, not after."""
     path = Path(out)
     if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", str(out))
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -89,7 +88,7 @@ def cmd_learn(args) -> int:
     except CsvFormatError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
-    report = testable_learn(samples, args.epsilon, args.tau, cfg)
+    report = testable_learn(samples, cfg.epsilon, cfg.tau, cfg)
     payload = report.to_json_dict()
     payload["input_csv_sha256"] = digest
     out.write_text(json_dumps(payload))
@@ -100,7 +99,7 @@ def cmd_learn(args) -> int:
 
 # Each grid axis, in the order cells enumerate them, with the values it
 # takes when the spec leaves it out.
-_GRID_DEFAULTS = {"d": [8], "n": [400000], "epsilon": [0.05],
+_GRID_DEFAULTS = {"d": [8], "n": [400000], "epsilon": [RunConfig.epsilon],
                   "marginal": [GAUSSIAN], "noise": [CLEAN],
                   "opt": [NoiseModel.opt]}
 
@@ -201,7 +200,7 @@ def cmd_experiment(args) -> int:
         cells = _experiment_cells(spec)
         if not cells:
             raise ValueError("grid has no cells")
-        tau = spec.get("tau", 0.05)
+        tau = spec.get("tau", RunConfig.tau)
         tasks = [dict(cell, config=RunConfig(epsilon=cell["epsilon"],
                                              tau=tau, seed=seed))
                  for cell in cells for seed in seeds]
@@ -218,8 +217,10 @@ def cmd_experiment(args) -> int:
         return EXIT_IO
     out_path = _output_path(args.out)
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # Capped at the task count: a forking pool starts every worker at once.
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_experiment_task, tasks))
     else:
         rows = [run_experiment_task(task) for task in tasks]
@@ -272,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     learn = sub.add_parser("learn", help="run the tester-learner on a CSV")
     learn.add_argument("--in", dest="input", required=True)
     learn.add_argument("--out", required=True)
-    learn.add_argument("--epsilon", type=float, default=0.05)
-    learn.add_argument("--tau", type=float, default=0.05)
-    learn.add_argument("--seed", type=int, default=0)
+    learn.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
+    learn.add_argument("--tau", type=float, default=RunConfig.tau)
+    learn.add_argument("--seed", type=int, default=RunConfig.seed)
     learn.add_argument("--k-cap", type=int, default=RunConfig.k_cap)
     learn.set_defaults(func=cmd_learn)
 

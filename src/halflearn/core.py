@@ -150,9 +150,9 @@ class LabeledSampleSet:
 class RunConfig:
     """Knobs of the full learner; k_cap is the degree of the moment test."""
 
-    epsilon: float
-    tau: float
-    seed: int
+    epsilon: float = 0.05
+    tau: float = 0.05
+    seed: int = 0
     k_cap: int = 4
 
     def __post_init__(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,8 +25,12 @@ SCALED_GAUSSIAN = "scaled-gaussian"
 STUDENT_T = "student-t"
 GAUSSIAN_MIXTURE = "gaussian-mixture"
 
-MARGINAL_KINDS = (GAUSSIAN, RADEMACHER, UNIFORM_CUBE, SCALED_GAUSSIAN,
-                  STUDENT_T, GAUSSIAN_MIXTURE)
+# The MarginalFamily fields each marginal kind's draw reads; every other
+# field must keep its default, since no value of it would change a row.
+_READS = {GAUSSIAN: (), RADEMACHER: (), UNIFORM_CUBE: (),
+          SCALED_GAUSSIAN: ("axis", "factor"), STUDENT_T: ("dof",),
+          GAUSSIAN_MIXTURE: ("separation",)}
+MARGINAL_KINDS = tuple(_READS)
 
 CLEAN = "clean"
 RANDOM_FLIP = "random-flip"
@@ -45,30 +49,25 @@ class MarginalFamily:
     separation: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in MARGINAL_KINDS:
+        if self.kind not in _READS:
             raise ValueError(f"unknown marginal kind {self.kind!r}")
-        if self.kind == SCALED_GAUSSIAN:
-            if self.factor <= 0.0:
-                raise ValueError("factor must be positive")
-            # A float axis would pass here and fail as an IndexError later.
-            if not (isinstance(self.axis, numbers.Integral)
-                    and self.axis >= 0):
-                raise ValueError("axis must be a non-negative integer")
-        if self.kind == STUDENT_T and self.dof < 3:
+        for field in fields(self)[1:]:
+            if (field.name not in _READS[self.kind]
+                    and getattr(self, field.name) != field.default):
+                raise ValueError(f"{self.kind} does not read {field.name}")
+        if not 0.0 < self.factor < math.inf:  # written so that NaN fails
+            raise ValueError("factor must be positive and finite")
+        # A float axis would pass here and fail as an IndexError later.
+        if not (isinstance(self.axis, numbers.Integral) and self.axis >= 0):
+            raise ValueError("axis must be a non-negative integer")
+        if self.dof < 3:
             raise ValueError("dof must be at least 3")
-        if self.kind == GAUSSIAN_MIXTURE and self.separation < 0.0:
-            raise ValueError("separation must be non-negative")
+        if not 0.0 <= self.separation < math.inf:
+            raise ValueError("separation must be non-negative and finite")
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == SCALED_GAUSSIAN:
-            out["axis"] = self.axis
-            out["factor"] = self.factor
-        elif self.kind == STUDENT_T:
-            out["dof"] = self.dof
-        elif self.kind == GAUSSIAN_MIXTURE:
-            out["separation"] = self.separation
-        return out
+        return {"kind": self.kind,
+                **{name: getattr(self, name) for name in _READS[self.kind]}}
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,9 @@ class TestGenerate:
         ["--d", "1"], ["--d", "0"], ["--n", "0"], ["--opt", "0.7"],
         ["--seed", "-1"],
         ["--marginal", "scaled-gaussian", "--scale-axis", "3"],
+        # A marginal field that the gaussian kind does not read.
+        ["--scale-factor", "3"], ["--scale-axis", "1"], ["--t-dof", "2"],
+        ["--mixture-separation", "1.5"],
     ])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, flags):
         base = tmp_path / "bad"
@@ -96,7 +99,25 @@ class TestGenerate:
                     "--seed", "1", "--out", str(base), *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not base.with_suffix(".csv").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_directory_output_exits_one_before_any_sample(
+            self, tmp_path, capsys, monkeypatch, suffix):
+        def never(*args):
+            raise AssertionError("a sample was drawn before --out was checked")
+
+        monkeypatch.setattr(cli, "generate", never)
+        blocked = tmp_path / "runs" / f"run{suffix}"
+        blocked.mkdir(parents=True)
+        code = run(["generate", "--d", "3", "--n", "10", "--marginal",
+                    "gaussian", "--seed", "1", "--out",
+                    str(tmp_path / "runs" / "run")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 21] Is a directory: '{blocked}'\n")
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            blocked.name]
 
 
 class TestLearn:
@@ -290,7 +311,11 @@ class TestExperiment:
         assert by_marginal["rademacher"] == {"rejected_non_gaussian"}
         assert "accept_rate" in capsys.readouterr().out
 
-    def test_bad_spec_exits_one(self, tmp_path, capsys):
+    def test_bad_spec_exits_one(self, tmp_path, capsys, monkeypatch):
+        def never(task):
+            raise AssertionError("a task ran from a refused spec")
+
+        monkeypatch.setattr(cli, "run_experiment_task", never)
         spec_path = tmp_path / "spec.json"
         out_path = tmp_path / "agg.csv"
         # Values RunConfig, MarginalFamily, the noise model, the budget
@@ -309,7 +334,12 @@ class TestExperiment:
                    # A key the runner does not read.
                    {"grid": grid, "seeds": [1], "taus": 0.5},
                    {"grid": dict(grid, eps=[0.2]), "seeds": [1]},
-                   {"grid": grid, "seeds": [1], "output_path": "agg.csv"}]
+                   {"grid": grid, "seeds": [1], "output_path": "agg.csv"},
+                   # An axis with no values, so no cells.
+                   {"grid": dict(grid, d=[]), "seeds": [1]},
+                   # A marginal field that its kind does not read.
+                   {"grid": dict(grid, marginal=[
+                       {"kind": "gaussian", "dof": 5}]), "seeds": [1]}]
         # A d, n or scaled-gaussian axis that no task of its cell could
         # run with.
         refused += [{"grid": dict(grid, d=[d]), "seeds": [1]}
@@ -394,6 +424,43 @@ class TestExperiment:
         assert len(lines) == 1 + 15
         assert all("RuntimeError: learner crashed" in line
                    for line in lines[1:])
+
+    def test_workers_capped_at_the_task_count(self, tmp_path, monkeypatch):
+        # A forking pool starts all max_workers processes at its first
+        # submit, so the pool must ask for no more than there are tasks.
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def stub(task):
+            return dict(dict.fromkeys(cli._FIELDS, ""), verdict="error",
+                        cell_index=task["cell_index"], seed=task["config"].seed)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        monkeypatch.setattr(cli, "run_experiment_task", stub)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"grid": {"d": [4], "n": [340000]},
+                                         "seeds": [0, 1]}))
+        out_path = tmp_path / "agg.csv"
+        for workers in ("32", "2", "1"):
+            assert run(["experiment", "--spec", str(spec_path), "--out",
+                        str(out_path), "--workers", workers]) == 0
+            assert len(out_path.read_text().splitlines()) == 1 + 2
+        assert started == [2, 2]
 
     def test_worker_pool_matches_serial(self, tmp_path):
         spec = {"grid": {"d": [4], "n": [340000],

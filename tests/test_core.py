@@ -35,6 +35,13 @@ class TestUnitVector:
         with pytest.raises(ValueError):
             UnitVector(np.array([1.0]))
 
+    @pytest.mark.parametrize("coords, message", [
+        ([[1.0, 0.0]], "one-dimensional"), ([np.nan, 1.0], "finite"),
+        ([np.inf, 0.0], "finite")])
+    def test_rejects_a_matrix_or_non_finite_coords(self, coords, message):
+        with pytest.raises(ValueError, match=message):
+            UnitVector(np.array(coords))
+
     def test_is_read_only(self):
         v = UnitVector(np.array([0.6, 0.8]))
         with pytest.raises(ValueError):
@@ -242,6 +249,14 @@ class TestLabeledSampleSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LabeledSampleSet(np.array([[np.inf, 0.0]]), np.array([1]))
+
+    @pytest.mark.parametrize("points, labels, message", [
+        (np.zeros(4), np.ones(4), "an \\(n, d\\) array"),
+        (np.zeros((3, 2)), np.ones(2), "one per point"),
+        (np.zeros((3, 2)), np.ones((3, 1)), "one per point")])
+    def test_rejects_unmatched_shapes(self, points, labels, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledSampleSet(points, labels)
 
     def test_subset_slice(self, rng):
         # A read-only view of the parent, not a copy.

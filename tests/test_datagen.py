@@ -168,9 +168,43 @@ class TestMarginalFamilies:
             MarginalFamily("scaled-gaussian", factor=0.0)
         with pytest.raises(ValueError):
             MarginalFamily("no-such-family")
+        for separation in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="separation"):
+                MarginalFamily("gaussian-mixture", separation=separation)
+        for factor in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="factor"):
+                MarginalFamily("scaled-gaussian", factor=factor)
         with pytest.raises(ValueError):
             MarginalFamily("scaled-gaussian", axis=1.5, factor=2.0)
         with pytest.raises(ValueError):
             generate(3, 10, MarginalFamily("scaled-gaussian", axis=5,
                                            factor=2.0),
                      v_star(3), NoiseModel("clean"), 0)
+
+
+# The fields each marginal kind's draw reads, and for each field a value
+# other than its default.
+READS = {"gaussian": (), "rademacher": (), "uniform-cube": (),
+         "scaled-gaussian": ("axis", "factor"), "student-t": ("dof",),
+         "gaussian-mixture": ("separation",)}
+OTHER_VALUE = {"axis": 1, "factor": 2.0, "dof": 5, "separation": 1.0}
+UNREAD = [(kind, field) for kind, reads in READS.items()
+          for field in OTHER_VALUE if field not in reads]
+
+
+class TestMarginalFields:
+    @pytest.mark.parametrize("kind, field", UNREAD)
+    def test_unread_field_must_keep_its_default(self, kind, field):
+        with pytest.raises(ValueError, match=f"{kind} does not read {field}"):
+            MarginalFamily(kind, **{field: OTHER_VALUE[field]})
+        default = MarginalFamily(kind, **{field: getattr(MarginalFamily,
+                                                         field)})
+        assert default == MarginalFamily(kind)
+
+    @pytest.mark.parametrize("kind", READS)
+    def test_read_fields_are_set_and_recorded(self, kind):
+        values = {field: OTHER_VALUE[field] for field in READS[kind]}
+        family = MarginalFamily(kind, **values)
+        assert family.to_json_dict() == {"kind": kind, **values}
+        s = generate(3, 50, family, v_star(3), NoiseModel("clean"), 0)
+        assert s.n == 50

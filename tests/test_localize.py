@@ -166,6 +166,18 @@ class TestGeometryBound:
         with pytest.raises(ValueError):
             check_unwhitening_error_bound(v_star, v, v_star, 0.01, 0.0)
 
+    @pytest.mark.parametrize("delta, zeta, w_offset, message", [
+        (0.0, 0.0, 0.0, "delta must lie"), (0.02, 0.0, 0.0, "delta must lie"),
+        (0.008, -0.001, 0.0, "zeta must lie"),
+        (0.008, 0.02, 0.0, "zeta must lie"),
+        (0.008, 0.001, 0.01, "w is farther than zeta")])
+    def test_hypotheses_are_checked(self, delta, zeta, w_offset, message):
+        v = unit(basis_vector(3, 0))
+        v_star = normalize(np.array([1.0, 0.006, 0.0]))
+        w = normalize(stretch(v_star.coords, v, 0.008) + [0.0, 0.0, w_offset])
+        with pytest.raises(ValueError, match=message):
+            check_unwhitening_error_bound(v_star, v, w, delta, zeta)
+
     def test_orthogonal_unwhitening_never_improves(self):
         # With v orthogonal to the target, rescaling through the inverse map
         # cannot decrease the distance: 2 - 2b/sqrt((a/xi)^2 + b^2) >= 2 - 2b.

@@ -75,6 +75,12 @@ class TestMonomialExponent:
             with pytest.raises(ValueError):
                 MonomialExponent(exps)
 
+    @pytest.mark.parametrize("exps, message", [
+        ((), "at least one variable"), ((0, 0), "degree must be at least 1")])
+    def test_refuses_an_empty_or_constant_monomial(self, exps, message):
+        with pytest.raises(ValueError, match=message):
+            MonomialExponent(exps)
+
     def test_accepts_numpy_integers(self):
         m = MonomialExponent((np.int64(2), np.int32(0), 1))
         assert m.exponents == (2, 0, 1)
@@ -135,6 +141,18 @@ class TestEmpiricalMoment:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             batch_empirical_moments(TWO_POINTS, [MonomialExponent((1, 0, 0))])
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(2)],
+                             ids=["no-rows", "1-d"])
+    def test_refuses_points_that_are_not_rows(self, points):
+        with pytest.raises(ValueError, match="non-empty"):
+            batch_empirical_moments(points, [MonomialExponent((1, 0))])
+
+    @pytest.mark.parametrize("monomials", [[], np.zeros((0, 2), np.int64)],
+                             ids=["list", "array"])
+    def test_no_monomials_gives_no_moments(self, monomials):
+        out = batch_empirical_moments(TWO_POINTS, monomials)
+        assert out.dtype == np.float64 and out.shape == (0,)
 
     def test_batch_matches_naive(self, rng):
         points = rng.standard_normal((500, 3))

@@ -24,6 +24,20 @@ def e(d, axis=0):
     return UnitVector(basis_vector(d, axis))
 
 
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((50, 2)), "matching the direction"),
+    (np.zeros(50), "matching the direction"),
+    (np.full((50, 3), np.inf), "finite")], ids=["d", "1-d", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda points: wedge_bound_test(points, e(3), 0.5),
+    lambda points: verify_wedge_certificate(points, e(3), 0.5, 1,
+                                            np.random.default_rng(0)),
+], ids=["wedge_bound_test", "verify_wedge_certificate"])
+def test_points_must_be_finite_rows_of_the_direction(call, points, message):
+    with pytest.raises(ValueError, match=message):
+        call(points)
+
+
 class TestDecompose:
     def test_twenty_point_ladder(self):
         # Points at 0, 0.05, ..., 0.95 along e1 with eta = 0.5: ten in
@@ -131,6 +145,11 @@ class TestWedgeBound:
         with pytest.raises(ValueError):
             wedge_bound_test(gaussian_points(900, 3, 0), e(3), 0.1)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.6, np.nan])
+    def test_eta_range(self, eta):
+        with pytest.raises(ValueError, match="eta must lie"):
+            wedge_bound_test(gaussian_points(1000, 3, 0), e(3), eta)
+
     def test_smallest_testable_eta(self):
         eta = smallest_testable_eta(100_000)
         assert eta is not None
@@ -237,6 +256,13 @@ class TestCertificateStress:
             worst = verify_wedge_certificate(points, e(5), eta, 100,
                                              np.random.default_rng(7))
             assert worst <= 10 * eta
+
+    @pytest.mark.parametrize("eta, trials, message", [
+        (0.1, 0, "trials"), (0.0, 5, "eta"), (2.5, 5, "eta")])
+    def test_argument_ranges(self, eta, trials, message):
+        with pytest.raises(ValueError, match=message):
+            verify_wedge_certificate(gaussian_points(100, 3, 5), e(3), eta,
+                                     trials, np.random.default_rng(0))
 
     def test_antipodal_direction_disagrees_everywhere(self):
         points = gaussian_points(5000, 3, 8)
