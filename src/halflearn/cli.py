@@ -20,7 +20,8 @@ import numpy as np
 from .core import RunConfig, empirical_error, predict_batch, \
     random_unit_vector
 from .datagen import (CLEAN, GAUSSIAN, MARGINAL_KINDS, NOISE_KINDS,
-                      MarginalFamily, NoiseModel, generate, make_noise)
+                      MarginalFamily, NoiseModel, check_draw, generate,
+                      make_noise)
 from .io import CsvFormatError, file_sha256, json_dumps, read_samples_csv, \
     write_samples_csv
 from .learner import LEARNED, plan_budget, testable_learn
@@ -45,6 +46,7 @@ def cmd_generate(args) -> int:
         noise = make_noise(args.noise, args.opt)
         v_star = random_unit_vector(args.d, np.random.default_rng(
             np.random.SeedSequence([args.seed, 0xA5])))
+        check_draw(args.d, args.n, marginal)
         csv_path = _output_path(out.with_name(out.name + ".csv"))
         json_path = _output_path(out.with_name(out.name + ".json"))
         s = generate(args.d, args.n, marginal, v_star, noise, args.seed)

@@ -104,8 +104,6 @@ def _draw_points(d: int, n: int, marginal: MarginalFamily,
         half_width = math.sqrt(3.0)  # unit variance
         return rng.uniform(-half_width, half_width, size=(n, d))
     if marginal.kind == SCALED_GAUSSIAN:
-        if marginal.axis >= d:
-            raise ValueError("axis out of range")
         points = rng.standard_normal((n, d))
         points[:, marginal.axis] *= marginal.factor
         return points
@@ -134,6 +132,15 @@ def _nearest(distance: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def check_draw(d: int, n: int, marginal: MarginalFamily) -> None:
+    """Raise ValueError unless generate can draw n rows of marginal in d
+    dimensions; the CLI calls it before it creates any output."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if marginal.axis >= d:
+        raise ValueError("axis out of range")
+
+
 def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
              noise: NoiseModel, seed: int) -> LabeledSampleSet:
     """Draw n labeled samples with planted normal v_star.
@@ -142,8 +149,7 @@ def generate(d: int, n: int, marginal: MarginalFamily, v_star: UnitVector,
     controlled subset, so the planted halfspace always witnesses error at
     most opt (exactly opt for the deterministic flip counts).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_draw(d, n, marginal)
     if v_star.d != d:
         raise ValueError("v_star dimension mismatch")
     rng = np.random.default_rng(seed)

@@ -3,14 +3,22 @@
 Stage 1 runs the weak proper learner on its own slice of the data. Its
 moment test runs on a helper thread beside every later stage, none of
 which reads its verdict; the verdict is applied first, so the report is
-the one the stages give when run in turn. Stage 2 iterates localization
-rounds with halving scale delta_t = (1/100) 2^-t, each round consuming a
-fresh slice sized 2 * 1000 / delta_t (the target accepted count,
-oversampled so the rate check's floor still feeds the inner learner);
-rounds run while the localization budget lasts. Stage 3 certifies every
-candidate with the wedge tester at that candidate's own scale and at the
-target accuracy. Stage 4 scores every candidate on a held-out selection
-slice and returns the minimizer.
+the one the stages give when run in turn. The calling thread first runs
+moment_test.even_powers_reject, a screen of the even pure powers whose
+rounding margin makes every rejection it proves one the full test gives.
+Once either thread knows the outcome, one Event ends the other's work:
+a screened rejection stops the helper's Gram at its next block of rows,
+and Chow, the rounds and the wedge never run; a helper that rejects or
+fails stops the calling thread at its next stage.
+
+Stage 2 iterates localization rounds with halving scale
+delta_t = (1/100) 2^-t, each round consuming a fresh slice sized
+2 * 1000 / delta_t (the target accepted count, oversampled so the rate
+check's floor still feeds the inner learner); rounds run while the
+localization budget lasts. Stage 3 certifies every candidate with the
+wedge tester at that candidate's own scale and at the target accuracy.
+Stage 4 scores every candidate on a held-out selection slice and returns
+the minimizer.
 
 A tester rejects by raising core.Rejected with its own name. That aborts
 the run with verdict rejected_non_gaussian and a machine-readable stage
@@ -29,9 +37,11 @@ import numpy as np
 
 from .core import (LabeledSampleSet, Rejected, RunConfig, UnitVector,
                    empirical_error)
+from .moment_test import even_powers_reject
+from .moments import Stopped
 from .update import EXPECTED_ACCEPT_MIN, localized_update
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
-from .weak import certify_moments, chow_direction
+from .weak import MOMENT_TEST, certify_moments, chow_direction
 # Not called here; perfbench/tracing.py wraps it by this name.
 from .weak import weak_proper_learn  # noqa: F401
 from .wedge import smallest_testable_eta, wedge_bound_test
@@ -186,38 +196,57 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     plan = plan_budget(s.n, epsilon)
     weak_slice = s.subset(slice(0, plan.n_weak))
     raised = []  # what the weak moment test raised, if anything
+    stop = threading.Event()  # set once the call's outcome is known
 
     def moment_test():
         try:
-            certify_moments(weak_slice, cfg)
+            certify_moments(weak_slice, cfg, stop)
+        except Stopped:  # the calling thread has decided the call
+            pass
         except BaseException as exc:  # raised again on the calling thread
             raised.append(exc)
+            stop.set()  # the later stages can no longer decide the call
 
     # The later stages run beside the moment test; its verdict outranks
     # their report or Exception, not an interrupt or exit on this thread.
     helper = threading.Thread(target=moment_test, name="halflearn-moment-test")
     helper.start()
     try:
-        report = _later_stages(s, weak_slice, cfg, plan)
+        # A rejection the screen proves is one the full test gives, so
+        # neither it nor the later stages need to finish.
+        if even_powers_reject(weak_slice, cfg.k_cap):
+            stop.set()
+            return _weak_rejection(MOMENT_TEST, cfg, plan)
+        report = _later_stages(s, weak_slice, cfg, plan, stop)
     except Exception:
         helper.join()
         if not raised:
             raise
+    except BaseException:  # an interrupt or exit here decides the call
+        stop.set()
+        raise
     finally:
         helper.join()
     if not raised:
         return report
     if not isinstance(raised[0], Rejected):
         raise raised[0]
+    return _weak_rejection(raised[0].tester, cfg, plan)
+
+
+def _weak_rejection(tester: str, cfg: RunConfig,
+                    plan: BudgetPlan) -> LearnReport:
     return LearnReport(hypothesis=None, candidates=(),
-                       rejection_stage=f"weak_learner.{raised[0].tester}",
+                       rejection_stage=f"weak_learner.{tester}",
                        samples_consumed=plan.n_weak, config=cfg, plan=plan)
 
 
 def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
-                  cfg: RunConfig, plan: BudgetPlan) -> LearnReport:
+                  cfg: RunConfig, plan: BudgetPlan,
+                  stop: threading.Event) -> LearnReport | None:
     """Every stage of testable_learn after the weak moment test, run as if
-    that test had certified."""
+    that test had certified. Returns None between two stages once ``stop``
+    is set, since the weak moment test has then decided the call."""
     rng = np.random.default_rng(cfg.seed)
 
     eta_min = smallest_testable_eta(plan.wedge_slice[1] - plan.wedge_slice[0])
@@ -238,6 +267,8 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
 
         # Stage 2: localization rounds while the budget lasts.
         for t, (start, end) in enumerate(plan.round_slices):
+            if stop.is_set():
+                return None
             stage = f"round_{t}"
             consumed += end - start
             current = localized_update(s.subset(slice(start, end)), current,
@@ -249,6 +280,8 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
         wedge_points = s.points[plan.wedge_slice[0]:plan.wedge_slice[1]]
         consumed += plan.wedge_slice[1] - plan.wedge_slice[0]
         for cand in candidates:
+            if stop.is_set():
+                return None
             stage = f"wedge.candidate_{cand.round_index}"
             for eta in _wedge_schedule(cand.delta, cfg.epsilon, eta_min):
                 verdict = wedge_bound_test(wedge_points, cand.direction, eta)
@@ -260,6 +293,8 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
                            samples_consumed=consumed, config=cfg, plan=plan)
 
     # Stage 4: pick the candidate with the smallest held-out error.
+    if stop.is_set():
+        return None
     selection = s.subset(slice(plan.selection_slice[0],
                                plan.selection_slice[1]))
     consumed += selection.n

@@ -6,22 +6,32 @@ which even truly Gaussian samples fluctuate, so completeness is testable
 at realistic sample sizes. (The theory's uniform tolerance,
 ``(1 / (k d^k)) * (1 / (C sqrt(k)))^(k+1)``, is far below sampling noise
 at any feasible n and would reject true Gaussians too.)
+
+``even_powers_reject`` is a cheap screen for the common rejection. It
+checks only the even pure powers x_i^m, 2 <= m <= k, against the same
+bands, widened by a rounding margin, so it reports a rejection only when
+``moment_match_test`` rejects too. testable_learn runs it on its calling
+thread while the full test runs beside it, and stops the full test once
+the screen has proven the rejection.
 """
 
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_MOMENT_DEGREE, SLACK, LabeledSampleSet
+from .core import MAX_MOMENT_DEGREE, SLACK, LabeledSampleSet, _row_blocks
 from .moments import (batch_empirical_moments, gaussian_moments,
                       monomial_exponents)
 
 MIN_SAMPLES = 100
 MAX_REPORTED_VIOLATIONS = 10
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -59,19 +69,38 @@ def _reference_table(d: int, k: int):
     return exponents, reference, variance
 
 
-def moment_match_test(s: LabeledSampleSet, k: int) -> MomentTestReport:
-    """Certify that all sample moments up to degree k match N(0, I), each
-    within SLACK standard errors.
+@lru_cache(maxsize=16)
+def _even_power_rows(d: int, k: int) -> np.ndarray:
+    """Rows of ``_reference_table(d, k)`` that hold x_i^m for even m in
+    2..k, as a ``(k // 2, d)`` array: m ascending, then i ascending, which
+    is the table's graded, descending-lex order."""
+    exponents = _reference_table(d, k)[0]
+    degree = exponents.sum(axis=1)
+    rows = np.flatnonzero((exponents.max(axis=1) == degree)
+                          & (degree % 2 == 0)).reshape(k // 2, d)
+    rows.setflags(write=False)
+    return rows
 
-    Labels are ignored; the test concerns the x-marginal only.
-    """
+
+def _check_arguments(s: LabeledSampleSet, k: int) -> None:
     if s.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {s.n}")
     if not (isinstance(k, numbers.Integral) and 1 <= k <= MAX_MOMENT_DEGREE):
         raise ValueError(f"k must be an integer in [1, {MAX_MOMENT_DEGREE}]")
 
+
+def moment_match_test(s: LabeledSampleSet, k: int,
+                      stop: threading.Event | None = None) -> MomentTestReport:
+    """Certify that all sample moments up to degree k match N(0, I), each
+    within SLACK standard errors.
+
+    Labels are ignored; the test concerns the x-marginal only. ``stop``
+    is passed to batch_empirical_moments, which raises Stopped once it is
+    set.
+    """
+    _check_arguments(s, k)
     exponents, reference, variance = _reference_table(s.d, k)
-    empirical = batch_empirical_moments(s.points, exponents)
+    empirical = batch_empirical_moments(s.points, exponents, stop)
     tolerance = SLACK * np.sqrt(variance / s.n)
 
     gap = np.abs(empirical - reference)
@@ -84,3 +113,40 @@ def moment_match_test(s: LabeledSampleSet, k: int) -> MomentTestReport:
                         float(empirical[idx]), float(reference[idx]),
                         float(tolerance[idx]))
         for idx in worst[:MAX_REPORTED_VIOLATIONS].tolist()))
+
+
+def even_powers_reject(s: LabeledSampleSet, k: int) -> bool:
+    """Whether an even pure power x_i^m, 2 <= m <= k, proves that
+    ``moment_match_test(s, k)`` rejects.
+
+    Each mean is compared with the full test's band for x_i^m, widened by
+    a margin. The mean of n nonnegative products of m factors, summed in
+    any order, with or without BLAS, errs by at most about (n + m) eps
+    times itself (Higham, Accuracy and Stability, ch. 4), and this mean
+    and the Gram's are both such means of the same terms. The margin,
+    2 (n + 64) eps times the sum of the mean, the reference and the band,
+    is at least twice that bound (m <= 20), and its reference and band
+    terms cover the rounding of both comparisons. A gap beyond band plus
+    margin is therefore one the Gram finds beyond the band, and a proven
+    rejection is one the full test gives. A mean that overflows to inf
+    widens its margin to inf and proves nothing.
+    """
+    _check_arguments(s, k)
+    _, reference, variance = _reference_table(s.d, k)
+    rows = _even_power_rows(s.d, k)
+    reference, variance = reference[rows], variance[rows]
+    sums = np.zeros(rows.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _row_blocks(s.n, s.d):
+            x = s.points[block]
+            ones = np.ones(len(x))
+            square = x * x
+            power = square
+            for j, total in enumerate(sums):  # total of x^(2j + 2)
+                if j:
+                    power = power * square
+                total += ones @ power
+        mean = sums / s.n
+        band = SLACK * np.sqrt(variance / s.n)
+        margin = 2 * (s.n + 64) * _EPS * (mean + reference + band)
+        return bool((np.abs(mean - reference) > band + margin).any())

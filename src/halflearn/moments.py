@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +39,10 @@ _WIDTH_MULTIPLE = 16
 _ODD_DOUBLE_FACTORIAL = np.array(
     [math.prod(range(1, 2 * j, 2)) for j in range(MAX_MOMENT_DEGREE + 1)],
     dtype=object)
+
+
+class Stopped(Exception):
+    """batch_empirical_moments was stopped before it read every row."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,8 @@ def _rank(exponents: np.ndarray) -> np.ndarray:
 
 
 def batch_empirical_moments(points: np.ndarray,
-                            monomials: np.ndarray | Sequence[MonomialExponent]
+                            monomials: np.ndarray | Sequence[MonomialExponent],
+                            stop: threading.Event | None = None
                             ) -> np.ndarray:
     """Empirical mean of every monomial over the rows of ``points``.
 
@@ -159,7 +165,9 @@ def batch_empirical_moments(points: np.ndarray,
     ``MonomialExponent``. Each monomial x^(a+b) is read off the Gram
     matrix ``Z^T Z`` of a monomial table ``Z`` whose columns hold every
     monomial of degree <= ceil(max degree / 2). ``Z`` is built and
-    multiplied one block of rows at a time.
+    multiplied one block of rows at a time. Once ``stop`` is set, the
+    next block raises Stopped instead: testable_learn sets it when its
+    other thread has decided the call.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -202,6 +210,8 @@ def batch_empirical_moments(points: np.ndarray,
     # moment test of degree 2 or more rejects the sample by it.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, block):
+            if stop is not None and stop.is_set():
+                raise Stopped
             chunk = points[start:start + block]
             z = table[:, :chunk.shape[0]]
             z[1:d + 1] = chunk.T

@@ -22,6 +22,7 @@ also callable apart.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,11 @@ def estimate_chow(s: LabeledSampleSet, batch_count: int,
                         per_coordinate_spread=spread)
 
 
-def certify_moments(s: LabeledSampleSet, cfg: RunConfig) -> None:
+def certify_moments(s: LabeledSampleSet, cfg: RunConfig,
+                    stop: threading.Event | None = None) -> None:
     """Raise Rejected(MOMENT_TEST) unless the moments of s match N(0, I)
-    up to degree cfg.k_cap."""
-    if not moment_match_test(s, cfg.k_cap).certified:
+    up to degree cfg.k_cap; raise moments.Stopped once ``stop`` is set."""
+    if not moment_match_test(s, cfg.k_cap, stop).certified:
         raise Rejected(MOMENT_TEST)
 
 

@@ -93,7 +93,8 @@ class TestGenerate:
         ["--mixture-separation", "1.5"],
     ])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, flags):
-        base = tmp_path / "bad"
+        # --out's parents do not exist yet; a usage error creates none.
+        base = tmp_path / "nd" / "sub" / "bad"
         code = run(["generate", "--d", "3", "--n", "10", "--marginal",
                     "gaussian", "--noise", "random-flip", "--opt", "0.1",
                     "--seed", "1", "--out", str(base), *flags])

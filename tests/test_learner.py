@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from halflearn.core import margins, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate, make_noise
 from halflearn.io import json_dumps
 from halflearn.learner import max_rounds, plan_budget, round_raw_size
+from halflearn.moment_test import even_powers_reject, moment_match_test
+from halflearn.moments import Stopped
 from halflearn.weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
 from halflearn.weak import ChowEstimate
 from halflearn.wedge import min_sample_count
@@ -288,21 +292,35 @@ class TestRejectionStage:
 
 
 def _sign_weak_rows(points, plan, rng):
-    # Fourth moments 1, not 3: the weak moment test rejects.
+    # Fourth moments 1, not 3: the even-power screen proves the rejection.
     rows = slice(0, plan.n_weak)
     points[rows] = rng.choice([-1.0, 1.0], size=points[rows].shape)
 
 
-def _with_weak_rejection(edit):
+def _mixed_weak_rows(points, plan, rng):
+    # x_1 <- sign(x_0) |x_1| keeps every pure power, so the screen passes,
+    # but E[x_0 x_1] = 2/pi: only the helper's full moment test rejects.
+    rows = slice(0, plan.n_weak)
+    points[rows, 1] = np.copysign(points[rows, 1], points[rows, 0])
+
+
+# Each weak-slice edit that the weak moment test rejects: one the calling
+# thread's screen proves, one only the helper thread's full test finds.
+WEAK_EDITS = [pytest.param(_sign_weak_rows, id="sign"),
+              pytest.param(_mixed_weak_rows, id="mixed")]
+
+
+def _with_weak_rejection(weak_edit, edit):
     def both(points, plan, rng):
-        _sign_weak_rows(points, plan, rng)
+        weak_edit(points, plan, rng)
         edit(points, plan, rng)
     return both
 
 
 def _slow_moment_test(monkeypatch, seconds=0.3):
     # The weak moment test ends after every other stage has; the rounds'
-    # own moment tests keep their speed.
+    # own moment tests keep their speed. Its arguments, the stop event
+    # included, pass through unchanged.
     real = learner.certify_moments
 
     def slow(*args):
@@ -320,26 +338,41 @@ def _weak_moment_rejection(report):
 
 class TestMomentTestBeside:
     """The weak moment test runs on a helper thread beside the later
-    stages; the report is the one the stages give when run in turn."""
+    stages; the report is the one the stages give when run in turn. The
+    tests of a weak rejection run on the edit that the calling thread's
+    screen proves and on the one that only the helper's full test finds."""
 
+    def test_screen_sees_only_the_screened_edit(self):
+        plan = plan_budget(STAGE_N, 0.05)
+        for edit, proven in ((None, False), (_sign_weak_rows, True),
+                             (_mixed_weak_rows, False)):
+            weak_slice = staged(edit).subset(slice(0, plan.n_weak))
+            assert even_powers_reject(weak_slice, cfg().k_cap) is proven
+            assert moment_match_test(weak_slice, cfg().k_cap).certified is (
+                edit is None)
+
+    @pytest.mark.parametrize("weak_edit", WEAK_EDITS)
     @pytest.mark.parametrize("edit", [
         pytest.param(edit, id=name) for edit, _, name in STAGE_EDITS])
-    def test_weak_rejection_outranks_later_rejections(self, edit):
-        report = testable_learn(staged(_with_weak_rejection(edit)), 0.05,
-                                0.05, cfg())
+    def test_weak_rejection_outranks_later_rejections(self, weak_edit, edit):
+        report = testable_learn(staged(_with_weak_rejection(weak_edit, edit)),
+                                0.05, 0.05, cfg())
         assert _weak_moment_rejection(report)
 
-    def test_weak_rejection_outranks_a_later_error(self, monkeypatch):
+    @pytest.mark.parametrize("weak_edit", WEAK_EDITS)
+    def test_weak_rejection_outranks_a_later_error(self, monkeypatch,
+                                                   weak_edit):
         def broken(*args):
             raise RuntimeError("round failed")
 
         monkeypatch.setattr(learner, "localized_update", broken)
-        report = testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg())
+        report = testable_learn(staged(weak_edit), 0.05, 0.05, cfg())
         assert _weak_moment_rejection(report)
         with pytest.raises(RuntimeError, match="round failed"):
             testable_learn(staged(), 0.05, 0.05, cfg())
 
     def test_interrupt_is_not_outranked(self, monkeypatch):
+        # Only an input the screen passes reaches the rounds.
         def interrupted(*args):
             raise KeyboardInterrupt
 
@@ -347,7 +380,7 @@ class TestMomentTestBeside:
         _slow_moment_test(monkeypatch)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg())
+            testable_learn(staged(_mixed_weak_rows), 0.05, 0.05, cfg())
         assert threading.active_count() == before
 
     def test_exit_in_the_moment_test_propagates(self, monkeypatch):
@@ -376,6 +409,8 @@ class TestMomentTestBeside:
         pytest.param(None, "weak_learner.degenerate_chow", id="certified"),
         pytest.param(_sign_weak_rows, "weak_learner.moment_test",
                      id="rejected"),
+        pytest.param(_mixed_weak_rows, "weak_learner.moment_test",
+                     id="mixed"),
     ])
     def test_degenerate_chow_waits_for_the_verdict(self, monkeypatch,
                                                    weak_rows, stage):
@@ -389,19 +424,21 @@ class TestMomentTestBeside:
         assert report.candidates == ()
         assert report.samples_consumed == report.plan.n_weak
 
+    @pytest.mark.parametrize("weak_edit", WEAK_EDITS)
     def test_slow_weak_rejection_outranks_a_finished_learner(
-            self, monkeypatch):
+            self, monkeypatch, weak_edit):
         _slow_moment_test(monkeypatch)
         assert _weak_moment_rejection(
-            testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg()))
+            testable_learn(staged(weak_edit), 0.05, 0.05, cfg()))
 
-    def test_no_thread_outlives_a_call(self, monkeypatch):
+    @pytest.mark.parametrize("weak_edit", WEAK_EDITS)
+    def test_no_thread_outlives_a_call(self, monkeypatch, weak_edit):
         _slow_moment_test(monkeypatch)
         before = threading.active_count()
         assert testable_learn(staged(), 0.05, 0.05, cfg()).learned
         assert threading.active_count() == before
         assert _weak_moment_rejection(
-            testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg()))
+            testable_learn(staged(weak_edit), 0.05, 0.05, cfg()))
         assert threading.active_count() == before
 
         def broken(*args):
@@ -412,9 +449,65 @@ class TestMomentTestBeside:
             testable_learn(staged(), 0.05, 0.05, cfg())
         assert threading.active_count() == before
 
+    def test_screened_rejection_stops_every_other_stage(self, monkeypatch):
+        # The screen decides before any later stage starts. The helper,
+        # slowed so that it starts its Gram after the decision, stops at
+        # its first block.
+        later = []
+        for name in ("chow_direction", "localized_update",
+                     "wedge_bound_test"):
+            monkeypatch.setattr(learner, name,
+                                lambda *args, name=name: later.append(name))
+        helper_raised = []
+        real = learner.certify_moments
+
+        def slow(*args):
+            time.sleep(0.3)
+            try:
+                real(*args)
+            except BaseException as exc:
+                helper_raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(learner, "certify_moments", slow)
+        s = staged(_sign_weak_rows)
+        before = threading.active_count()
+        # The stopped Gram's 4 MiB table must go with the call, not wait
+        # for the cycle collector.
+        gc.disable()
+        tracemalloc.start()
+        try:
+            report = testable_learn(s, 0.05, 0.05, cfg())
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert _weak_moment_rejection(report)
+        assert later == []
+        assert helper_raised == [Stopped]
+        assert threading.active_count() == before
+        assert kept < 1 << 20
+
+    def test_helper_rejection_stops_the_later_stages(self, monkeypatch):
+        # Round 0 outlasts the helper's full test; the calling thread then
+        # sees the stop before the wedge stage and returns.
+        real_update = learner.localized_update
+        wedge_calls = []
+
+        def slow_update(*args):
+            time.sleep(0.5)
+            return real_update(*args)
+
+        monkeypatch.setattr(learner, "localized_update", slow_update)
+        monkeypatch.setattr(learner, "wedge_bound_test",
+                            lambda *args: wedge_calls.append(args))
+        report = testable_learn(staged(_mixed_weak_rows), 0.05, 0.05, cfg())
+        assert _weak_moment_rejection(report)
+        assert wedge_calls == []
+
     def test_concurrent_calls_match_sequential_ones(self):
         inputs = [staged(), staged(_sign_round_orthogonals),
-                  staged(_sign_weak_rows)]
+                  staged(_sign_weak_rows), staged(_mixed_weak_rows)]
         expected = [json_dumps(testable_learn(s, 0.05, 0.05,
                                               cfg()).to_json_dict())
                     for s in inputs]
@@ -426,7 +519,7 @@ class TestMomentTestBeside:
             got[i] = json_dumps(testable_learn(inputs[i], 0.05, 0.05,
                                                cfg()).to_json_dict())
 
-        # Three callers, each with a helper thread, switching often.
+        # Four callers, each with a helper thread, switching often.
         callers = [threading.Thread(target=call, args=(i,))
                    for i in range(len(inputs))]
         interval = sys.getswitchinterval()
@@ -441,7 +534,8 @@ class TestMomentTestBeside:
         assert not any(caller.is_alive() for caller in callers)
         assert got == expected
         assert [json.loads(g)["rejection_stage"] for g in got] == [
-            None, "round_0.moment_test", "weak_learner.moment_test"]
+            None, "round_0.moment_test", "weak_learner.moment_test",
+            "weak_learner.moment_test"]
 
 
 # Orders of the rows of a planted sample; each maps (s, v_star) to a
