@@ -10,7 +10,6 @@ import argparse
 import errno
 import itertools
 import json
-import numbers
 import sys
 import time
 from pathlib import Path
@@ -44,9 +43,9 @@ def cmd_generate(args) -> int:
                                   factor=args.scale_factor, dof=args.t_dof,
                                   separation=args.mixture_separation)
         noise = make_noise(args.noise, args.opt)
+        check_draw(args.d, args.n, marginal)
         v_star = random_unit_vector(args.d, np.random.default_rng(
             np.random.SeedSequence([args.seed, 0xA5])))
-        check_draw(args.d, args.n, marginal)
         csv_path = _output_path(out.with_name(out.name + ".csv"))
         json_path = _output_path(out.with_name(out.name + ".json"))
         s = generate(args.d, args.n, marginal, v_star, noise, args.seed)
@@ -207,13 +206,8 @@ def cmd_experiment(args) -> int:
                                              tau=tau, seed=seed))
                  for cell in cells for seed in seeds]
         for cell in cells:  # a cell that no task of it could run
-            n = cell["n"]
-            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-                raise ValueError(f"n must be an integer, got {n!r}")
-            plan_budget(n, cell["epsilon"])
-            # One row runs the same d and marginal checks a task would.
-            generate(cell["d"], 1, cell["family"], random_unit_vector(
-                cell["d"], np.random.default_rng(0)), cell["noise_model"], 0)
+            check_draw(cell["d"], cell["n"], cell["family"])
+            plan_budget(cell["n"], cell["epsilon"])
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: bad experiment spec: {exc}", file=sys.stderr)
         return EXIT_IO

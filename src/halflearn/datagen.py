@@ -134,9 +134,12 @@ def _nearest(distance: np.ndarray, k: int) -> np.ndarray:
 
 def check_draw(d: int, n: int, marginal: MarginalFamily) -> None:
     """Raise ValueError unless generate can draw n rows of marginal in d
-    dimensions; the CLI calls it before it creates any output."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    dimensions: integers (not bools) d >= 2 and n >= 1, and an axis below
+    d. The CLI calls it before it creates any output or runs any task."""
+    for name, value, least in (("d", d, 2), ("n", n, 1)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < least):
+            raise ValueError(f"{name} must be an integer of at least {least}")
     if marginal.axis >= d:
         raise ValueError("axis out of range")
 

@@ -5,9 +5,11 @@ moment test runs on a helper thread beside every later stage, none of
 which reads its verdict; the verdict is applied first, so the report is
 the one the stages give when run in turn. The calling thread first runs
 moment_test.even_powers_reject, a screen of the even pure powers whose
-rounding margin makes every rejection it proves one the full test gives.
-Once either thread knows the outcome, one Event ends the other's work:
-a screened rejection stops the helper's Gram at its next block of rows,
+rounding margin makes every rejection it proves one the full test gives;
+it ranks that rejection first among the helper's verdicts, from which
+one statement builds every weak rejection's report. Once either thread
+knows the outcome, one Event makes the other's work raise Stopped: a
+screened rejection stops the helper's Gram at its next block of rows,
 and Chow, the rounds and the wedge never run; a helper that rejects or
 fails stops the calling thread at its next stage.
 
@@ -195,7 +197,7 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
                          f"the config's {cfg.epsilon!r}, {cfg.tau!r}")
     plan = plan_budget(s.n, epsilon)
     weak_slice = s.subset(slice(0, plan.n_weak))
-    raised = []  # what the weak moment test raised, if anything
+    raised = []  # what the weak moment test raised; a screened rejection first
     stop = threading.Event()  # set once the call's outcome is known
 
     def moment_test():
@@ -212,12 +214,13 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
     helper = threading.Thread(target=moment_test, name="halflearn-moment-test")
     helper.start()
     try:
-        # A rejection the screen proves is one the full test gives, so
-        # neither it nor the later stages need to finish.
+        # A rejection the screen proves is one the full test gives, so it
+        # ranks first, and neither the helper nor the later stages finish.
         if even_powers_reject(weak_slice, cfg.k_cap):
+            raised.insert(0, Rejected(MOMENT_TEST))
             stop.set()
-            return _weak_rejection(MOMENT_TEST, cfg, plan)
-        report = _later_stages(s, weak_slice, cfg, plan, stop)
+        else:
+            report = _later_stages(s, weak_slice, cfg, plan, stop)
     except Exception:
         helper.join()
         if not raised:
@@ -231,22 +234,17 @@ def testable_learn(s: LabeledSampleSet, epsilon: float, tau: float,
         return report
     if not isinstance(raised[0], Rejected):
         raise raised[0]
-    return _weak_rejection(raised[0].tester, cfg, plan)
-
-
-def _weak_rejection(tester: str, cfg: RunConfig,
-                    plan: BudgetPlan) -> LearnReport:
     return LearnReport(hypothesis=None, candidates=(),
-                       rejection_stage=f"weak_learner.{tester}",
+                       rejection_stage=f"weak_learner.{raised[0].tester}",
                        samples_consumed=plan.n_weak, config=cfg, plan=plan)
 
 
 def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
                   cfg: RunConfig, plan: BudgetPlan,
-                  stop: threading.Event) -> LearnReport | None:
+                  stop: threading.Event) -> LearnReport:
     """Every stage of testable_learn after the weak moment test, run as if
-    that test had certified. Returns None between two stages once ``stop``
-    is set, since the weak moment test has then decided the call."""
+    that test had certified. Raises Stopped between two stages once
+    ``stop`` is set, since the weak moment test has then decided the call."""
     rng = np.random.default_rng(cfg.seed)
 
     eta_min = smallest_testable_eta(plan.wedge_slice[1] - plan.wedge_slice[0])
@@ -268,7 +266,7 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
         # Stage 2: localization rounds while the budget lasts.
         for t, (start, end) in enumerate(plan.round_slices):
             if stop.is_set():
-                return None
+                raise Stopped
             stage = f"round_{t}"
             consumed += end - start
             current = localized_update(s.subset(slice(start, end)), current,
@@ -281,7 +279,7 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
         consumed += plan.wedge_slice[1] - plan.wedge_slice[0]
         for cand in candidates:
             if stop.is_set():
-                return None
+                raise Stopped
             stage = f"wedge.candidate_{cand.round_index}"
             for eta in _wedge_schedule(cand.delta, cfg.epsilon, eta_min):
                 verdict = wedge_bound_test(wedge_points, cand.direction, eta)
@@ -294,7 +292,7 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
 
     # Stage 4: pick the candidate with the smallest held-out error.
     if stop.is_set():
-        return None
+        raise Stopped
     selection = s.subset(slice(plan.selection_slice[0],
                                plan.selection_slice[1]))
     consumed += selection.n

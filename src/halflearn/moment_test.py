@@ -10,9 +10,11 @@ at any feasible n and would reject true Gaussians too.)
 ``even_powers_reject`` is a cheap screen for the common rejection. It
 checks only the even pure powers x_i^m, 2 <= m <= k, against the same
 bands, widened by a rounding margin, so it reports a rejection only when
-``moment_match_test`` rejects too. testable_learn runs it on its calling
-thread while the full test runs beside it, and stops the full test once
-the screen has proven the rejection.
+``moment_match_test`` rejects too. Its bands come from gaussian_moments
+of the one-variable powers, bit for bit the full test's. testable_learn
+runs it on its calling thread while the full test runs beside it; a
+proven rejection is the call's verdict, and the full test's Gram then
+raises Stopped at its next block.
 """
 
 from __future__ import annotations
@@ -69,19 +71,6 @@ def _reference_table(d: int, k: int):
     return exponents, reference, variance
 
 
-@lru_cache(maxsize=16)
-def _even_power_rows(d: int, k: int) -> np.ndarray:
-    """Rows of ``_reference_table(d, k)`` that hold x_i^m for even m in
-    2..k, as a ``(k // 2, d)`` array: m ascending, then i ascending, which
-    is the table's graded, descending-lex order."""
-    exponents = _reference_table(d, k)[0]
-    degree = exponents.sum(axis=1)
-    rows = np.flatnonzero((exponents.max(axis=1) == degree)
-                          & (degree % 2 == 0)).reshape(k // 2, d)
-    rows.setflags(write=False)
-    return rows
-
-
 def _check_arguments(s: LabeledSampleSet, k: int) -> None:
     if s.n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {s.n}")
@@ -132,10 +121,11 @@ def even_powers_reject(s: LabeledSampleSet, k: int) -> bool:
     widens its margin to inf and proves nothing.
     """
     _check_arguments(s, k)
-    _, reference, variance = _reference_table(s.d, k)
-    rows = _even_power_rows(s.d, k)
-    reference, variance = reference[rows], variance[rows]
-    sums = np.zeros(rows.shape)
+    # E[x^m] and Var[x^m] for m = 2, 4, ..., k, the same floats as the
+    # full test's x_i^m rows, since each is an exact integer rounded once.
+    reference, variance = gaussian_moments(np.arange(2, k + 1, 2)[:, None])
+    reference, variance = reference[:, None], variance[:, None]
+    sums = np.zeros((k // 2, s.d))
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _row_blocks(s.n, s.d):
             x = s.points[block]

@@ -180,6 +180,11 @@ class TestMarginalFamilies:
             generate(3, 10, MarginalFamily("scaled-gaussian", axis=5,
                                            factor=2.0),
                      v_star(3), NoiseModel("clean"), 0)
+        # A float n or a bool d is refused before NumPy sees it.
+        for d, n in ((8, 1.5), (5, 10.0), (True, 10)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                generate(d, n, MarginalFamily("gaussian"), v_star(max(d, 2)),
+                         NoiseModel("clean"), 0)
 
 
 # The fields each marginal kind's draw reads, and for each field a value

@@ -371,6 +371,16 @@ class TestMomentTestBeside:
         with pytest.raises(RuntimeError, match="round failed"):
             testable_learn(staged(), 0.05, 0.05, cfg())
 
+    def test_proven_rejection_outranks_a_helper_error(self, monkeypatch):
+        # The helper fails at once, most likely before the screen ends;
+        # the screen's proven rejection still decides the call.
+        def broken(*args):
+            raise RuntimeError("helper failed")
+
+        monkeypatch.setattr(learner, "certify_moments", broken)
+        report = testable_learn(staged(_sign_weak_rows), 0.05, 0.05, cfg())
+        assert _weak_moment_rejection(report)
+
     def test_interrupt_is_not_outranked(self, monkeypatch):
         # Only an input the screen passes reaches the rounds.
         def interrupted(*args):

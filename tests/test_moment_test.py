@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from halflearn import LabeledSampleSet
 from halflearn.core import SLACK
-from halflearn.moment_test import even_powers_reject, moment_match_test
+from halflearn.moment_test import (_reference_table, even_powers_reject,
+                                   moment_match_test)
 from halflearn.moments import gaussian_moments
 
 
@@ -163,3 +164,18 @@ class TestEvenPowerScreen:
         for k in (21, 2.5):
             with pytest.raises(ValueError, match=r"\[1, 20\]"):
                 even_powers_reject(gaussian_set(1000, 3, 0), k)
+
+    @pytest.mark.parametrize("d, k", [(3, 2), (8, 4), (12, 4), (5, 8),
+                                      (3, 12)])
+    def test_bands_are_the_full_tests_bands(self, d, k):
+        # The screen takes E[x^m] and Var[x^m] from the one-variable powers;
+        # its margin proof needs them to be, bit for bit, the full test's
+        # values for every x_i^m row.
+        exponents, reference, variance = _reference_table(d, k)
+        pure = np.flatnonzero(np.count_nonzero(exponents, axis=1) == 1)
+        assert len(pure) == d * k
+        power = exponents[pure].max(axis=1)
+        one_ref, one_var = gaussian_moments(np.arange(1, k + 1)[:, None])
+        for got, want in ((reference[pure], one_ref[power - 1]),
+                          (variance[pure], one_var[power - 1])):
+            assert got.tobytes() == want.tobytes()
