@@ -126,16 +126,20 @@ def even_powers_reject(s: LabeledSampleSet, k: int) -> bool:
     reference, variance = gaussian_moments(np.arange(2, k + 1, 2)[:, None])
     reference, variance = reference[:, None], variance[:, None]
     sums = np.zeros((k // 2, s.d))
+    # Buffers for the first block, the largest, reused by every block.
+    rows = len(s.points[next(_row_blocks(s.n, s.d))])
+    ones = np.ones(rows)
+    squares, powers = np.empty((2, rows, s.d))
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _row_blocks(s.n, s.d):
             x = s.points[block]
-            ones = np.ones(len(x))
-            square = x * x
+            m = len(x)
+            square = np.multiply(x, x, out=squares[:m])
             power = square
             for j, total in enumerate(sums):  # total of x^(2j + 2)
                 if j:
-                    power = power * square
-                total += ones @ power
+                    power = np.multiply(power, square, out=powers[:m])
+                total += ones[:m] @ power
         mean = sums / s.n
         band = SLACK * np.sqrt(variance / s.n)
         margin = 2 * (s.n + 64) * _EPS * (mean + reference + band)

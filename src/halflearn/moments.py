@@ -6,15 +6,20 @@ moment-matching test. The empirical side rests on E[x^a x^b] =
 E[x^(a+b)]: every monomial of degree <= k is one cell of the Gram matrix
 ``Z^T Z / n``, where the columns of ``Z`` are the monomials of degree <=
 ceil(k / 2), so a single BLAS product per block of rows evaluates them
-all.
+all. The plan of that product, which Gram cell holds each monomial and
+how the table's columns are built, is made once per exponent table and
+cached per process; the block size is read on every call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 import threading
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -155,6 +160,65 @@ def _rank(exponents: np.ndarray) -> np.ndarray:
     return below[suffix, np.arange(d, 0, -1)].sum(axis=1)
 
 
+class _ExponentTable:
+    """A validated int64 exponent table as a key of ``_gram_plan``.
+
+    Keys compare and hash by the table's shape and SHA-256 digest, and
+    hold the table only by weak reference, so the cache keeps no table
+    alive: at d=48, k=4 one is 99 MB.
+    """
+
+    __slots__ = ("key", "exponents")
+
+    def __init__(self, exponents: np.ndarray):
+        self.key = (exponents.shape, hashlib.sha256(exponents).digest())
+        self.exponents = weakref.ref(exponents)
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@lru_cache(maxsize=16)
+def _gram_plan(table: _ExponentTable):
+    """Where each monomial sits in the Gram matrix, and how to build the
+    monomial table whose Gram it is.
+
+    Returns ``(rows, cols, width, steps)``: monomial i is Gram cell
+    ``(rows[i], cols[i])``, the table has ``width`` rows (zero-padded),
+    and each step ``(parent, coord, lo, hi)`` fills table rows lo..hi-1
+    as row ``parent`` times rows coord..coord+hi-lo-1. The arrays are
+    read-only; the block size is left to each call.
+    """
+    monomials = table.exponents()  # the caller holds the table
+    d = monomials.shape[1]
+    # x^(a+b) is Gram cell (a, b): a takes the first ceil(degree / 2)
+    # units in coordinate order, b the rest.
+    degree = monomials.sum(axis=1, keepdims=True)
+    before = np.cumsum(monomials, axis=1) - monomials
+    first = np.clip((degree + 1) // 2 - before, 0, monomials)
+    rows, cols = _rank(first), _rank(monomials - first)
+    half = (int(degree.max()) + 1) // 2
+    del degree, before, first  # each as large as monomials; not kept
+    _, parents, coords = _monomial_tree(d, half)
+    width = -(-(len(parents) + 1) // _WIDTH_MULTIPLE) * _WIDTH_MULTIPLE
+    # The table is stored transposed, one contiguous row per column, so
+    # every product streams through memory. Rows 1..d are the coordinates,
+    # and every later row is its parent times one of them. A row's
+    # children are consecutive rows that take consecutive coordinates, so
+    # one broadcast multiply per parent fills them. Fewer calls mean fewer
+    # waits for the interpreter lock beside testable_learn's other thread.
+    firsts = np.flatnonzero(np.diff(parents[d:], prepend=-1)) + d
+    steps = tuple((int(parents[lo]), int(coords[lo]) + 1, lo + 1, hi + 1)
+                  for lo, hi in zip(firsts.tolist(),
+                                    firsts[1:].tolist() + [len(parents)]))
+    for cells in (rows, cols):
+        cells.setflags(write=False)
+    return rows, cols, width, steps
+
+
 def batch_empirical_moments(points: np.ndarray,
                             monomials: np.ndarray | Sequence[MonomialExponent],
                             stop: threading.Event | None = None
@@ -181,30 +245,12 @@ def batch_empirical_moments(points: np.ndarray,
             and monomials.ndim == 2 and monomials.shape[1] == d
             and monomials.min() >= 0 and monomials.sum(axis=1).min() >= 1):
         raise ValueError(f"monomials must be (m, {d}) exponents, degree >= 1")
-    # x^(a+b) is Gram cell (a, b): a takes the first ceil(degree / 2)
-    # units in coordinate order, b the rest.
-    degree = monomials.sum(axis=1, keepdims=True)
-    before = np.cumsum(monomials, axis=1) - monomials
-    first = np.clip((degree + 1) // 2 - before, 0, monomials)
-    rows, cols = _rank(first), _rank(monomials - first)
-    half = (int(degree.max()) + 1) // 2
-    del degree, before, first  # each as large as monomials; not kept
-    _, parents, coords = _monomial_tree(d, half)
-    width = -(-(len(parents) + 1) // _WIDTH_MULTIPLE) * _WIDTH_MULTIPLE
+    monomials = np.ascontiguousarray(monomials, dtype=np.int64)
+    rows, cols, width, steps = _gram_plan(_ExponentTable(monomials))
     block = max(1, _BLOCK_DOUBLES // width)
-    # The table is stored transposed, one contiguous row per column, so
-    # every product streams through memory. Rows 1..d are the coordinates,
-    # and every later row is its parent times one of them. A row's
-    # children are consecutive rows that take consecutive coordinates, so
-    # one broadcast multiply per parent fills them. Fewer calls mean fewer
-    # waits for the interpreter lock beside testable_learn's other thread.
     table = np.zeros((width, min(block, n)), dtype=np.float64)
     table[0] = 1.0
     gram = np.zeros((width, width), dtype=np.float64)
-    firsts = np.flatnonzero(np.diff(parents[d:], prepend=-1)) + d
-    steps = [(int(parents[lo]), int(coords[lo]) + 1, lo + 1, hi + 1)
-             for lo, hi in zip(firsts.tolist(),
-                               firsts[1:].tolist() + [len(parents)])]
     # Only a coordinate far beyond any Gaussian sample overflows (to inf,
     # or NaN after inf - inf). The sum of its squares never turns NaN, so a
     # moment test of degree 2 or more rejects the sample by it.

@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
+import threading
 import time
+import weakref
 from math import comb
 
 import numpy as np
@@ -9,6 +12,7 @@ from conftest import stdout_with_blas_threads
 from hypothesis import given
 from hypothesis import strategies as st
 
+from halflearn import LabeledSampleSet, RunConfig, testable_learn
 from halflearn.moments import (MonomialExponent, batch_empirical_moments,
                                enumerate_monomials, gaussian_moments,
                                monomial_exponents)
@@ -205,6 +209,18 @@ def assert_matches_naive(got, points, monomials):
                                                        / bound)
 
 
+class CountingEvent(threading.Event):
+    """An Event that counts how often it is read."""
+
+    def __init__(self):
+        super().__init__()
+        self.checks = 0
+
+    def is_set(self):
+        self.checks += 1
+        return super().is_set()
+
+
 class TestGramEngine:
     def test_matches_naive_products(self, rng):
         for d, k in ((4, 3), (3, 5), (3, 6)):
@@ -258,9 +274,14 @@ class TestGramEngine:
         monos = enumerate_monomials(3, 4)
         whole = batch_empirical_moments(points, monos)
         scale = naive_moments(points, monos)[1]
-        for doubles in (1, 70, 999):
+        # The table is 16 wide, so 1, 70 and 999 doubles per block give
+        # 1, 4 and 62 rows per block. The kernel reads the stop once per
+        # block, so the count shows that each call sized its own blocks.
+        for doubles, blocks in ((1, 1000), (70, 250), (999, 17)):
             monkeypatch.setattr(moments, "_BLOCK_DOUBLES", doubles)
-            blocked = batch_empirical_moments(points, monos)
+            stop = CountingEvent()
+            blocked = batch_empirical_moments(points, monos, stop)
+            assert stop.checks == blocks
             assert np.all(np.abs(blocked - whole)
                           <= 2 * points.shape[0] * EPS * scale)
 
@@ -293,3 +314,81 @@ class TestGramEngine:
             # mean absolute value on the even monomials; the blocked Gram
             # sum stays within a few.
             assert abs(value - exact) <= 16 * EPS * scale, m.exponents
+
+
+class TestGramPlanCache:
+    @pytest.mark.parametrize("d, k", [(3, 2), (8, 4), (12, 4), (20, 4),
+                                      (5, 8), (3, 12)])
+    def test_warm_call_matches_a_cold_one(self, d, k):
+        points = np.random.default_rng(d * 100 + k).standard_normal((300, d))
+        exponents = monomial_exponents(d, k)
+        batch_empirical_moments(points, exponents)
+        hits = moments._gram_plan.cache_info().hits
+        warm = batch_empirical_moments(points, exponents.copy())
+        assert moments._gram_plan.cache_info().hits == hits + 1
+        moments._gram_plan.cache_clear()
+        cold = batch_empirical_moments(points, exponents)
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_keyed_by_the_table_not_its_shape(self, rng):
+        points = rng.standard_normal((300, 4))
+        exponents = monomial_exponents(4, 4)
+        order = rng.permutation(len(exponents))
+        want = batch_empirical_moments(points, exponents)[order]
+        got = batch_empirical_moments(points, exponents[order])
+        assert got.tobytes() == want.tobytes()
+
+    def test_plan_is_read_only(self):
+        exponents = monomial_exponents(4, 4)
+        rows, cols, width, steps = moments._gram_plan(
+            moments._ExponentTable(exponents))
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert isinstance(steps, tuple)
+        assert width % moments._WIDTH_MULTIPLE == 0
+
+    def test_cache_keeps_no_table_alive(self, rng):
+        exponents = monomial_exponents(6, 4)
+        table = weakref.ref(exponents)
+        batch_empirical_moments(rng.standard_normal((300, 6)), exponents)
+        del exponents
+        assert table() is None
+
+    def test_threads_on_an_empty_cache_agree(self, rng):
+        points = rng.standard_normal((20_000, 12))
+        exponents = monomial_exponents(12, 4)
+        want = batch_empirical_moments(points, exponents).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                moments._gram_plan.cache_clear()
+                start = threading.Barrier(4)
+                got = []
+
+                def run():
+                    table = exponents.copy()
+                    start.wait()
+                    got.append(batch_empirical_moments(points, table)
+                               .tobytes())
+
+                threads = [threading.Thread(target=run) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert got == [want] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_accepted_call_builds_its_plan_once(self):
+        rng = np.random.default_rng(12)
+        points = rng.standard_normal((600_000, 12))
+        labels = np.where(points @ np.full(12, 12 ** -0.5) >= 0, 1, -1)
+        cfg = RunConfig(epsilon=0.05, tau=0.05, seed=0)
+        moments._gram_plan.cache_clear()
+        report = testable_learn(LabeledSampleSet(points, labels), 0.05, 0.05,
+                                cfg)
+        assert report.hypothesis is not None
+        info = moments._gram_plan.cache_info()
+        assert info.misses == 1 and info.hits >= 1
