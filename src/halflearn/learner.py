@@ -11,7 +11,8 @@ one statement builds every weak rejection's report. Once either thread
 knows the outcome, one Event makes the other's work raise Stopped: a
 screened rejection stops the helper's Gram at its next block of rows,
 and Chow, the rounds and the wedge never run; a helper that rejects or
-fails stops the calling thread at its next stage.
+fails stops the calling thread at its next stage, or before the inner
+learner of the round it is in.
 
 Stage 2 iterates localization rounds with halving scale
 delta_t = (1/100) 2^-t, each round consuming a fresh slice sized
@@ -243,8 +244,9 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
                   cfg: RunConfig, plan: BudgetPlan,
                   stop: threading.Event) -> LearnReport:
     """Every stage of testable_learn after the weak moment test, run as if
-    that test had certified. Raises Stopped between two stages once
-    ``stop`` is set, since the weak moment test has then decided the call."""
+    that test had certified. Raises Stopped between two stages, or between
+    a round's rate check and its inner learner, once ``stop`` is set, since
+    the weak moment test has then decided the call."""
     rng = np.random.default_rng(cfg.seed)
 
     eta_min = smallest_testable_eta(plan.wedge_slice[1] - plan.wedge_slice[0])
@@ -270,7 +272,8 @@ def _later_stages(s: LabeledSampleSet, weak_slice: LabeledSampleSet,
             stage = f"round_{t}"
             consumed += end - start
             current = localized_update(s.subset(slice(start, end)), current,
-                                       round_delta(t), cfg, rng, tau_stage)
+                                       round_delta(t), cfg, rng, tau_stage,
+                                       stop)
             candidates.append(CandidateRecord(t + 1, current,
                                               round_delta(t + 1), None))
 

@@ -12,10 +12,13 @@ Sigma^{-1/2} x = x + (1/sigma - 1)(v.x) v.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .core import (LabeledSampleSet, Rejected, RunConfig, UnitVector,
                    _row_blocks, margins, normalize)
+from .moments import Stopped
 from .weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
 from .weak import weak_proper_learn
 
@@ -113,7 +116,8 @@ def check_unwhitening_error_bound(v_star: UnitVector, v: UnitVector,
 
 def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
                      cfg: RunConfig, rng: np.random.Generator,
-                     tau: float) -> UnitVector:
+                     tau: float,
+                     stop: threading.Event | None = None) -> UnitVector:
     """Refine v at scale delta, or reject the marginal.
 
     Localizes with sigma = delta. Under a Gaussian marginal the acceptance
@@ -123,7 +127,8 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
     well inside it). Otherwise the accepted samples are whitened, handed
     to the weak learner with the Chow failure budget tau, whose Rejected
     passes through, and the learned direction is transported back through
-    the inverse map.
+    the inverse map. Once ``stop`` is set, a round that passes its rate
+    check raises moments.Stopped instead of running the weak learner.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
@@ -135,5 +140,7 @@ def localized_update(s: LabeledSampleSet, v: UnitVector, delta: float,
     accepted, rate = rejection_sample(s, v, delta, rng)
     if not delta / 2.0 <= rate <= 3.0 * delta / 2.0:
         raise Rejected(RATE_CHECK)
+    if stop is not None and stop.is_set():
+        raise Stopped
     inner = weak_proper_learn(whiten(accepted, v, delta), cfg, rng, tau)
     return unwhiten_direction(inner, v, delta)

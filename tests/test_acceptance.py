@@ -12,26 +12,24 @@ import time
 import numpy as np
 import pytest
 
-from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
-                       empirical_error, random_unit_vector, testable_learn)
-from halflearn.core import normalize, predict_batch
+from halflearn import (LabeledSampleSet, UnitVector, empirical_error,
+                       random_unit_vector, testable_learn)
 from halflearn.moments import gaussian_moments, monomial_exponents
 from halflearn.datagen import MarginalFamily, generate, make_noise
 from halflearn.io import json_dumps
 from halflearn.update import (check_unwhitening_error_bound,
-                              rejection_sample, stretch, unwhiten_direction)
+                              rejection_sample, unwhiten_direction)
 from halflearn.weak import default_batch_count, estimate_chow
 from halflearn.wedge import verify_wedge_certificate, wedge_bound_test
+
+from conftest import bound_case, cfg, planted
+from reference import monomial_values
 
 ROOT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 # Single empirical constant for the error bound C_EMP * opt + epsilon,
 # fitted once on the completeness grid and frozen.
 C_EMP = 2.0
-
-
-def cfg(seed):
-    return RunConfig(epsilon=0.05, tau=0.05, seed=seed)
 
 
 class Criterion:
@@ -63,19 +61,12 @@ class Criterion:
         return False
 
 
-def planted_gaussian(d, n, seed, noise=("clean", 0.0)):
-    v_star = random_unit_vector(d, np.random.default_rng([seed, 77]))
-    s = generate(d, n, MarginalFamily("gaussian"), v_star,
-                 make_noise(*noise), seed)
-    return s, v_star
-
-
 def test_criterion_01_chow_identity():
     with Criterion(1, "chow-identity", 5.0) as crit:
         d, n = 5, 200_000
         hits = 0
         for seed in range(20):
-            s, v_star = planted_gaussian(d, n, seed)
+            s, v_star = planted(n, d, seed)
             est = estimate_chow(s, default_batch_count(d, 0.05, n),
                                 np.random.default_rng(seed))
             err = np.linalg.norm(est.vector - ROOT_2_OVER_PI * v_star.coords)
@@ -85,24 +76,19 @@ def test_criterion_01_chow_identity():
 
 def test_criterion_02_gaussian_moment_oracle():
     with Criterion(2, "gaussian-moment-oracle", 60.0) as crit:
-        # Independent Monte Carlo oracle: plain power-table products,
-        # standard errors from the sample variance itself.
+        # Independent Monte Carlo oracle: the reference products of
+        # powers, standard errors from the sample variance itself.
         d, total, chunk = 3, 10_000_000, 1_000_000
         exponents = monomial_exponents(d, 6)
         sums = np.zeros(len(exponents))
         squares = np.zeros(len(exponents))
         rng = np.random.default_rng(20240)
         for _ in range(total // chunk):
-            block = rng.standard_normal((chunk, d))
-            powers = [np.ones((chunk, 7)) for _ in range(d)]
-            for axis in range(d):
-                for p in range(1, 7):
-                    powers[axis][:, p] = powers[axis][:, p - 1] * block[:, axis]
-            for j, exps in enumerate(exponents):
-                values = (powers[0][:, exps[0]] * powers[1][:, exps[1]]
-                          * powers[2][:, exps[2]])
-                sums[j] += values.sum()
-                squares[j] += (values * values).sum()
+            # 20k rows at a time keep the 84-row table of values at 13 MB.
+            for rows in np.split(rng.standard_normal((chunk, d)), 50):
+                values = monomial_values(rows, exponents)
+                sums += values.sum(axis=1)
+                squares += np.einsum("ij,ij->i", values, values)
         means = sums / total
         variances = np.maximum(squares / total - means**2, 0.0)
         errors = np.abs(means - gaussian_moments(exponents)[0])
@@ -141,22 +127,8 @@ def test_criterion_04_unwhitening_geometry_bound():
         dims = (3, 10, 50)
         passes = 0
         for case in range(1000):
-            d = dims[case % 3]
-            delta = rng.uniform(1e-3, 0.01)
-            zeta = rng.uniform(0.0, 0.01)
-            v_star = random_unit_vector(d, rng)
-            u = _orthogonal_unit(v_star, rng)
-            kappa = rng.uniform(0.0, delta)
-            angle = 2.0 * np.arcsin(kappa / 2.0)
-            v = normalize(np.cos(angle) * v_star.coords
-                          + np.sin(angle) * u.coords)
-            target = normalize(stretch(v_star.coords, v, delta))
-            e = _orthogonal_unit(target, rng)
-            dist = rng.uniform(0.0, zeta)
-            angle_w = 2.0 * np.arcsin(dist / 2.0)
-            w = normalize(np.cos(angle_w) * target.coords
-                          + np.sin(angle_w) * e.coords)
-            passes += check_unwhitening_error_bound(v_star, v, w, delta, zeta)
+            passes += check_unwhitening_error_bound(
+                *bound_case(rng, dims[case % 3]))
         crit.finish(passes == 1000, f"{passes}/1000 tuples")
 
 
@@ -210,7 +182,7 @@ def test_criterion_07_localization_halving():
         hits = 0
         rounds_seen = 0
         for seed in range(20):
-            s, v_star = planted_gaussian(d, n, seed)
+            s, v_star = planted(n, d, seed)
             report = testable_learn(s, 0.05, 0.05, cfg(seed))
             if not report.learned:
                 continue
@@ -237,16 +209,14 @@ def _run_completeness_cell(noise_kind, opt, seeds, d=8, n=600_000):
     worst_error = 0.0
     reports = []
     for seed in seeds:
-        v_star = random_unit_vector(d, np.random.default_rng([seed, 77]))
-        noise = make_noise(noise_kind, opt)
-        s = generate(d, n, MarginalFamily("gaussian"), v_star, noise, seed)
+        s, v_star = planted(n, d, seed, noise=(noise_kind, opt))
         report = testable_learn(s, 0.05, 0.05, cfg(seed))
         reports.append(report)
         if not report.learned:
             continue
         accepted += 1
         heldout = generate(d, 20_000, MarginalFamily("gaussian"), v_star,
-                           noise, seed + 2**32)
+                           make_noise(noise_kind, opt), seed + 2**32)
         worst_error = max(worst_error,
                           empirical_error(report.hypothesis, heldout))
     return accepted, worst_error, reports
@@ -306,16 +276,8 @@ def test_criterion_10_determinism():
         seed = 0
         payloads = []
         for _ in range(2):
-            v_star = random_unit_vector(8, np.random.default_rng([seed, 77]))
-            s = generate(8, 600_000, MarginalFamily("gaussian"), v_star,
-                         make_noise(noise_kind, opt), seed)
+            s, _ = planted(600_000, 8, seed, noise=(noise_kind, opt))
             report = testable_learn(s, 0.05, 0.05, cfg(seed))
             payloads.append(json_dumps(report.to_json_dict()).encode())
         crit.finish(payloads[0] == payloads[1],
                     f"{len(payloads[0])} identical bytes")
-
-
-def _orthogonal_unit(v, rng):
-    g = rng.standard_normal(v.d)
-    g -= (g @ v.coords) * v.coords
-    return normalize(g)

@@ -212,11 +212,22 @@ class TestLearn:
                   for sign in (1.0, -1.0)
                   for stage in (weak, round_0, wedge, selection)]
         out = tmp_path / "r.json"
-        for column, value, row, code, stage in cases:
+        csv = tmp_path / "huge.csv"
+        # The set is written once; each case swaps in its edited line,
+        # which write_samples_csv writes as a one-row set.
+        write_samples_csv(csv, s)
+        lines = csv.read_bytes().splitlines(keepends=True)
+        for i, (column, value, row, code, stage) in enumerate(cases):
             points = s.points.copy()
             points[row, column] = value
-            csv = tmp_path / "huge.csv"
-            write_samples_csv(csv, LabeledSampleSet(points, s.labels))
+            edited = LabeledSampleSet(points, s.labels)
+            write_samples_csv(csv, edited.subset(slice(row, row + 1)))
+            csv.write_bytes(b"".join(lines[:row] + [csv.read_bytes()]
+                                     + lines[row + 1:]))
+            if i == 0:  # once: the patched file is the edited set's CSV
+                whole = tmp_path / "whole.csv"
+                write_samples_csv(whole, edited)
+                assert whole.read_bytes() == csv.read_bytes()
             capsys.readouterr()
             assert run(["learn", "--in", str(csv), "--out", str(out)]) \
                 == code, (row, value)

@@ -15,8 +15,8 @@ import hashlib
 import io as text_io
 
 import pytest
-from conftest import stdout_with_blas_threads
-from test_learner import STAGE_EDITS, cfg, staged
+from conftest import cfg, stdout_with_blas_threads
+from test_learner import STAGE_EDITS, staged
 
 from halflearn import cli, testable_learn
 from halflearn.io import json_dumps

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import basis_vector, stdout_with_blas_threads
+from conftest import basis_vector, cfg, planted, stdout_with_blas_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,18 +24,6 @@ from halflearn.moments import Stopped
 from halflearn.weak import MIN_SAMPLES as WEAK_MIN_SAMPLES
 from halflearn.weak import ChowEstimate
 from halflearn.wedge import min_sample_count
-
-
-def cfg(seed=0):
-    return RunConfig(epsilon=0.05, tau=0.05, seed=seed)
-
-
-def planted(n, d, seed, marginal="gaussian", noise=("clean", 0.0)):
-    rng = np.random.default_rng([seed, 77])
-    v_star = random_unit_vector(d, rng)
-    s = generate(d, n, MarginalFamily(marginal), v_star,
-                 make_noise(*noise), seed)
-    return s, v_star
 
 
 class TestBudgetPlan:
@@ -514,6 +502,38 @@ class TestMomentTestBeside:
         report = testable_learn(staged(_mixed_weak_rows), 0.05, 0.05, cfg())
         assert _weak_moment_rejection(report)
         assert wedge_calls == []
+
+    def test_helper_rejection_ends_the_round_before_its_learner(
+            self, monkeypatch):
+        # The helper's full test starts once round 0 samples, and the
+        # sampling ends once the helper has rejected: the round must then
+        # stop before its inner learner.
+        sampling = threading.Event()
+        certify, sample = learner.certify_moments, update.rejection_sample
+        helpers, inner_calls = [], []
+
+        def certify_during_sampling(*args):
+            sampling.wait(timeout=60)
+            return certify(*args)
+
+        def sample_until_the_helper_ends(*args):
+            sampling.set()
+            helpers.extend(thread for thread in threading.enumerate()
+                           if thread.name == "halflearn-moment-test")
+            for helper in helpers:
+                helper.join(timeout=60)
+            return sample(*args)
+
+        monkeypatch.setattr(learner, "certify_moments",
+                            certify_during_sampling)
+        monkeypatch.setattr(update, "rejection_sample",
+                            sample_until_the_helper_ends)
+        monkeypatch.setattr(update, "weak_proper_learn",
+                            lambda *args: inner_calls.append(args))
+        report = testable_learn(staged(_mixed_weak_rows), 0.05, 0.05, cfg())
+        assert _weak_moment_rejection(report)
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+        assert inner_calls == []
 
     def test_concurrent_calls_match_sequential_ones(self):
         inputs = [staged(), staged(_sign_round_orthogonals),

@@ -11,11 +11,7 @@ from halflearn.moment_test import (_reference_table, even_powers_reject,
                                    moment_match_test)
 from halflearn.moments import gaussian_moments
 
-
-def gaussian_set(n, d, seed):
-    rng = np.random.default_rng(seed)
-    return LabeledSampleSet(rng.standard_normal((n, d)),
-                            np.ones(n, dtype=int))
+from conftest import gaussian_set
 
 
 def rademacher_set(n, d, seed):

@@ -17,6 +17,7 @@ from halflearn.moments import (MonomialExponent, batch_empirical_moments,
                                enumerate_monomials, gaussian_moments,
                                monomial_exponents)
 from halflearn import moments
+from reference import monomial_values
 
 EPS = np.finfo(np.float64).eps
 
@@ -162,8 +163,7 @@ class TestEmpiricalMoment:
         points = rng.standard_normal((500, 3))
         monos = enumerate_monomials(3, 4)
         batch = batch_empirical_moments(points, monos)
-        for m, value in zip(monos, batch):
-            naive = np.prod(points ** np.array(m.exponents), axis=1).mean()
+        for naive, value in zip(naive_moments(points, monos)[0], batch):
             assert value == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -173,7 +173,7 @@ class TestEmpiricalMoment:
         rng = np.random.default_rng(7)
         points = rng.standard_normal((200, 3))
         m = MonomialExponent((a, b, c))
-        naive = float(np.prod(points ** np.array([a, b, c]), axis=1).mean())
+        naive = naive_moments(points, [m])[0][0]
         assert batch_empirical_moments(points, [m])[0] == pytest.approx(
             naive, rel=1e-12, abs=1e-12)
 
@@ -194,8 +194,7 @@ def test_gaussian_concentration_at_desk_scale():
 def naive_moments(points, monomials):
     """Product-of-powers mean of each monomial, and the mean of its
     absolute value, which scales the rounding error of any summation."""
-    values = np.stack([np.prod(points ** np.array(m.exponents), axis=1)
-                       for m in monomials])
+    values = monomial_values(points, [m.exponents for m in monomials])
     return values.mean(axis=1), np.abs(values).mean(axis=1)
 
 
@@ -305,8 +304,8 @@ class TestGramEngine:
                  ((4, 0, 0), (2, 2, 0), (0, 1, 3))]
         got = batch_empirical_moments(points, monos)
         for m, value in zip(monos, got):
-            parts = [np.prod(points[i:i + chunk] ** np.array(m.exponents),
-                             axis=1) for i in range(0, n, chunk)]
+            parts = [monomial_values(points[i:i + chunk], [m.exponents])[0]
+                     for i in range(0, n, chunk)]
             exact = math.fsum(itertools.chain.from_iterable(
                 part.tolist() for part in parts)) / n
             scale = sum(float(np.abs(part).sum()) for part in parts) / n

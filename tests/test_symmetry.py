@@ -13,13 +13,12 @@ wedge statistics.
 
 import numpy as np
 import pytest
+from conftest import cfg
 from test_learner import _widen_wedge_orthogonals, staged
 
-from halflearn import (LabeledSampleSet, RunConfig, generate, make_noise,
+from halflearn import (LabeledSampleSet, generate, make_noise,
                        random_unit_vector, testable_learn)
 from halflearn.datagen import MarginalFamily
-
-CFG = RunConfig(epsilon=0.05, tau=0.05, seed=0)
 
 
 def _random_flip(marginal):
@@ -53,7 +52,7 @@ STAGES = {
 def case(request):
     """An input and its report, kept for the three maps."""
     s = INPUTS[request.param]()
-    report = testable_learn(s, CFG.epsilon, CFG.tau, CFG)
+    report = testable_learn(s, 0.05, 0.05, cfg())
     assert report.rejection_stage == STAGES[request.param]
     return s, report
 
@@ -83,8 +82,8 @@ def _errors(report):
 
 
 def _learn(points, labels):
-    return testable_learn(LabeledSampleSet(points, labels), CFG.epsilon,
-                          CFG.tau, CFG)
+    return testable_learn(LabeledSampleSet(points, labels), 0.05, 0.05,
+                          cfg())
 
 
 def test_label_flip_negates_every_direction(case):

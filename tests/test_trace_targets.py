@@ -106,7 +106,8 @@ def test_traced_calls_close_every_span(monkeypatch):
     # A rejection raises through the wrapped weak_proper_learn and
     # localized_update; each wrapper must still close its span.
     from halflearn import learner
-    from test_learner import _sign_round_orthogonals, cfg, staged
+    from conftest import cfg
+    from test_learner import _sign_round_orthogonals, staged
     tracing = _load("tracing")
     targets = tracing.LEARN_TARGET + tracing.LAYER_TARGETS
     for module, attribute, *_ in targets:  # undone after the test

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from halflearn import UnitVector
-from halflearn.core import SLACK, normalize
-from halflearn.wedge import (EIGENVALUE_BOUND, MEAN_BOUND, SLAB_MOMENT_CHECK,
-                             TV_CHECK, _CHECK_TOL, _decompose, _phi,
-                             min_sample_count, slab_band_count,
-                             slab_min_count, smallest_testable_eta,
-                             tail_threshold, verify_wedge_certificate,
-                             wedge_bound_test)
+from halflearn.core import normalize
+from halflearn.wedge import (SLAB_MOMENT_CHECK, _decompose, min_sample_count,
+                             slab_band_count, slab_min_count,
+                             smallest_testable_eta, tail_threshold,
+                             verify_wedge_certificate, wedge_bound_test)
 
 from conftest import basis_vector
+from reference import reference_wedge_test
 
 
 def gaussian_points(n, d, seed):
@@ -156,46 +155,6 @@ class TestWedgeBound:
         assert min_sample_count(eta) <= 100_000
         assert min_sample_count(eta * 0.8) > 100_000
         assert smallest_testable_eta(100) is None
-
-
-def reference_wedge_test(points, v, eta):
-    """The slab check as a loop over every bin: sort the rows by bin, then
-    project each well-populated slab's rows off v and take its moments.
-    Returns (rejected_by, failed_slab_index, tv, worst eigenvalue,
-    reference masses)."""
-    n = points.shape[0]
-    margins = points @ v.coords
-    b, t = slab_band_count(eta), tail_threshold(eta)
-    bins = np.clip(np.floor(margins / eta).astype(np.int64), -b - 1, b + 1)
-    bins[margins >= t] = b + 1
-    bins[margins <= -t] = -b - 1
-    bins += b + 1
-    ref = np.zeros(2 * b + 3)
-    ref[0], ref[-1] = _phi(-t), 1.0 - _phi(t)
-    for i in range(-b, b + 1):
-        lo = min(max(i * eta, -t), t)
-        hi = min(max((i + 1) * eta, -t), t)
-        ref[i + b + 1] = max(0.0, _phi(hi) - _phi(lo))
-    tv = float(np.abs(np.bincount(bins, minlength=2 * b + 3) / n
-                      - ref).sum())
-    if tv > eta + SLACK * math.sqrt((2 * b + 3) / n):
-        return TV_CHECK, None, tv, 0.0, ref
-    worst = 0.0
-    order = np.argsort(bins, kind="stable")
-    boundaries = np.searchsorted(bins[order], np.arange(2 * b + 4))
-    for offset in range(2 * b + 3):
-        members = order[boundaries[offset]:boundaries[offset + 1]]
-        if members.shape[0] < slab_min_count(v.d):
-            continue
-        projected = points[members] - np.multiply.outer(margins[members],
-                                                        v.coords)
-        top = float(np.linalg.eigvalsh(
-            projected.T @ projected / members.shape[0])[-1])
-        worst = max(worst, top)
-        if (top > EIGENVALUE_BOUND + _CHECK_TOL or np.linalg.norm(
-                projected.mean(axis=0)) > MEAN_BOUND + _CHECK_TOL):
-            return SLAB_MOMENT_CHECK, offset - b - 1, tv, worst, ref
-    return None, None, tv, worst, ref
 
 
 class TestReferenceEquivalence:
