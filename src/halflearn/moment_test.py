@@ -15,6 +15,42 @@ of the one-variable powers, bit for bit the full test's. testable_learn
 runs it on its calling thread while the full test runs beside it; a
 proven rejection is the call's verdict, and the full test's Gram then
 raises Stopped at its next block.
+
+``moment_match_test`` first runs the Gram in single precision
+(``batch_empirical_moments(..., single=True)``). It certifies from that
+pass only where, for every monomial, the gap plus a proven bound on its
+distance from the float64 Gram's mean is inside the band. Otherwise it
+runs the float64 Gram and reports as that alone would, so the report,
+every verdict and every byte are the float64 test's.
+
+The bound (Higham, Accuracy and Stability, ch. 3-4). Let u = 2^-24 and
+e = 2^-52, k the top degree, c = ceil(k/2), K <= 8192 the rows that one
+float32 product sums (moments._SINGLE_ROWS), z the exact table columns
+of the float64 points and G the sums of the single-precision Gram. Each
+float32 operation returns v (1 + r) + t with |r| <= u and |t| <= 2^-126,
+the smallest normal, with or without flush to zero.
+- Relative: a term z_a z_b of degree g <= k takes g roundings of its
+  coordinates, at most g - 1 table products and the Gram's product,
+  then at most K - 1 additions in its product's sum, in any order, so
+  for any BLAS and thread count. The float64 sums over products, each
+  of at least one row, and the division by n take at most n + 1
+  roundings of e / 2, and the float64 test's own mean at most n + k + 1.
+  An m-fold rounding of unit w errs by under 4/3 m w while m w <= 1/4,
+  so gamma = 2 (K + 2k + 4) u + 2 (n + 64) e covers the distance of
+  both means from the exact one, with room to spare. It multiplies
+  sum |z_a z_b| / n <= S = (G_aa + G_bb) / (2n), read off the Gram's
+  own diagonal, whose rounding the room also covers.
+- Absolute: a term takes at most 2k + 1 of the t, each multiplied by
+  the term's later factors, at most max(1, B)^(2c) <= 2 max(1, G_max)
+  for the largest coordinate B and the largest diagonal G_max, since
+  x_i^c is a column. A product's sum adds at most one t per row. So the
+  mean errs by under A = 16 (k + 2) 2^-126 max(1, G_max), which also
+  covers float64's far smaller underflow.
+So |mean32 - mean64| <= gamma (S + A) + 2A. The test certifies only if
+gap + bound <= band (1 - 4e) for every monomial, which keeps the
+float64 gap inside the band through the rounding of both comparisons.
+An overflow turns a diagonal, and so every bound, inf or NaN, which
+fails every comparison: it proves nothing.
 """
 
 from __future__ import annotations
@@ -27,8 +63,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MAX_MOMENT_DEGREE, SLACK, LabeledSampleSet, _row_blocks
-from .moments import (batch_empirical_moments, gaussian_moments,
-                      monomial_exponents)
+from .moments import (_frozen_exponents, batch_empirical_moments,
+                      gaussian_moments)
 
 MIN_SAMPLES = 100
 MAX_REPORTED_VIOLATIONS = 10
@@ -64,9 +100,9 @@ class MomentTestReport:
 def _reference_table(d: int, k: int):
     """Exponents of the monomials of degree 1..k over d variables with
     their exact Gaussian moments and variances, as read-only arrays."""
-    exponents = monomial_exponents(d, k)
+    exponents = _frozen_exponents(d, k)
     reference, variance = gaussian_moments(exponents)
-    for table in (exponents, reference, variance):
+    for table in (reference, variance):
         table.setflags(write=False)
     return exponents, reference, variance
 
@@ -85,13 +121,19 @@ def moment_match_test(s: LabeledSampleSet, k: int,
 
     Labels are ignored; the test concerns the x-marginal only. ``stop``
     is passed to batch_empirical_moments, which raises Stopped once it is
-    set.
+    set. A single-precision pass certifies where its rounding bound
+    proves the float64 test would; any other case runs the float64 test.
     """
     _check_arguments(s, k)
     exponents, reference, variance = _reference_table(s.d, k)
-    empirical = batch_empirical_moments(s.points, exponents, stop)
     tolerance = SLACK * np.sqrt(variance / s.n)
+    means, bounds = batch_empirical_moments(s.points, exponents, stop,
+                                            single=True)
+    if (np.abs(means - reference) + bounds
+            <= tolerance * (1 - 4 * _EPS)).all():
+        return MomentTestReport(())
 
+    empirical = batch_empirical_moments(s.points, exponents, stop)
     gap = np.abs(empirical - reference)
     violated = np.flatnonzero(gap > tolerance)
     # Worst ratio first; ties fall back to graded-lex enumeration order.

@@ -8,7 +8,10 @@ E[x^(a+b)]: every monomial of degree <= k is one cell of the Gram matrix
 ceil(k / 2), so a single BLAS product per block of rows evaluates them
 all. The plan of that product, which Gram cell holds each monomial and
 how the table's columns are built, is made once per exponent table and
-cached per process; the block size is read on every call.
+cached per process; the block size is read on every call. A table from
+``_frozen_exponents`` whose width matches the points is keyed by its
+(d, k) and taken unchecked; any other is checked and keyed by its
+SHA-256 digest.
 """
 
 from __future__ import annotations
@@ -38,6 +41,22 @@ _BLOCK_DOUBLES = 1 << 19
 # multiple of 8 gave different bytes at 1 and 2 threads (OpenBLAS 0.3.31,
 # x86-64 with AVX-512); padded ones keep the bytes thread-independent.
 _WIDTH_MULTIPLE = 16
+
+# Rows per float32 product of the single-precision Gram. Its rounding
+# bound grows with the rows one float32 sum adds, and a block holds
+# 32,768 rows at d <= 4: summed in one product, that put the bound of a
+# degree-1 mean past its band on 1.25M rows, so every such test ran both
+# passes. Longer blocks are split into stacked products of this many rows,
+# summed in float64, which keeps the bound's block term at 2^-10 (a fifth
+# of a degree-1 band at n = 1.25M) and leaves whole the blocks of
+# d >= 9 at k = 4.
+_SINGLE_ROWS = 1 << 13
+
+# The single-precision Gram's rounding: float32's unit roundoff and
+# smallest normal, and float64's machine epsilon.
+_U32 = float(np.finfo(np.float32).eps) / 2
+_TINY32 = float(np.finfo(np.float32).tiny)
+_EPS = float(np.finfo(np.float64).eps)
 
 # (2j - 1)!! for j = 0..MAX_MOMENT_DEGREE as Python ints, with (-1)!! = 1:
 # E[x^(2j)] = (2j - 1)!! for a standard Gaussian x. 39!! exceeds int64.
@@ -163,15 +182,16 @@ def _rank(exponents: np.ndarray) -> np.ndarray:
 class _ExponentTable:
     """A validated int64 exponent table as a key of ``_gram_plan``.
 
-    Keys compare and hash by the table's shape and SHA-256 digest, and
-    hold the table only by weak reference, so the cache keeps no table
-    alive: at d=48, k=4 one is 99 MB.
+    Keys compare and hash by ``key``, by default the table's shape and
+    SHA-256 digest, and hold the table only by weak reference, so the
+    cache keeps no table alive: at d=48, k=4 one is 99 MB.
     """
 
     __slots__ = ("key", "exponents")
 
-    def __init__(self, exponents: np.ndarray):
-        self.key = (exponents.shape, hashlib.sha256(exponents).digest())
+    def __init__(self, exponents: np.ndarray, key=None):
+        self.key = key or (exponents.shape,
+                           hashlib.sha256(exponents).digest())
         self.exponents = weakref.ref(exponents)
 
     def __hash__(self):
@@ -219,10 +239,57 @@ def _gram_plan(table: _ExponentTable):
     return rows, cols, width, steps
 
 
+def _checked_table(monomials, d: int) -> tuple[np.ndarray, int]:
+    """``monomials`` as a C-contiguous int64 table and its top degree;
+    ValueError unless it holds (m, d) exponents of degree >= 1."""
+    if not isinstance(monomials, np.ndarray):
+        monomials = np.array([m.exponents for m in monomials], dtype=np.int64)
+    degree = (monomials.sum(axis=1)
+              if np.issubdtype(monomials.dtype, np.signedinteger)
+              and monomials.ndim == 2 and monomials.shape[1] == d
+              and monomials.min() >= 0 else np.zeros(1))
+    if degree.min() < 1:
+        raise ValueError(f"monomials must be (m, {d}) exponents, degree >= 1")
+    return (np.ascontiguousarray(monomials, dtype=np.int64),
+            int(degree.max()))
+
+
+# Tables made by _frozen_exponents, by id: a weak reference to the table,
+# its plan key and its top degree. An entry leaves with its table.
+_FROZEN: dict[int, tuple[weakref.ref, _ExponentTable, int]] = {}
+
+
+def _frozen_exponents(d: int, k: int) -> np.ndarray:
+    """``monomial_exponents(d, k)``, read-only. batch_empirical_moments
+    knows it by identity and keys its plan by (d, k), with no digest and
+    no checks."""
+    table = monomial_exponents(d, k)
+    table.setflags(write=False)
+    ident = id(table)
+    _FROZEN[ident] = (weakref.ref(table, lambda _: _FROZEN.pop(ident, None)),
+                      _ExponentTable(table, ("monomial_exponents", d, k)), k)
+    return table
+
+
+def _single_gram(z: np.ndarray) -> np.ndarray:
+    """``z @ z.T`` of a float32 table block: float32 products of at most
+    ``_SINGLE_ROWS`` columns each, summed in float64."""
+    width, length = z.shape
+    whole = length - length % _SINGLE_ROWS
+    tail = z[:, whole:]
+    gram = tail @ tail.T
+    if whole:
+        parts = z[:, :whole].reshape(width, -1, _SINGLE_ROWS)
+        parts = parts.transpose(1, 0, 2)
+        gram = gram + np.matmul(parts, parts.transpose(0, 2, 1)).sum(
+            axis=0, dtype=np.float64)
+    return gram
+
+
 def batch_empirical_moments(points: np.ndarray,
                             monomials: np.ndarray | Sequence[MonomialExponent],
-                            stop: threading.Event | None = None
-                            ) -> np.ndarray:
+                            stop: threading.Event | None = None, *,
+                            single: bool = False):
     """Empirical mean of every monomial over the rows of ``points``.
 
     ``monomials`` is an ``(m, d)`` array of exponents or a list of
@@ -232,23 +299,32 @@ def batch_empirical_moments(points: np.ndarray,
     multiplied one block of rows at a time. Once ``stop`` is set, the
     next block raises Stopped instead: testable_learn sets it when its
     other thread has decided the call.
+
+    With ``single=True``, ``Z`` is float32, each block's product is a
+    stack of float32 products of at most ``_SINGLE_ROWS`` rows, and the
+    products are summed in float64. The call then returns ``(means,
+    bounds)``: each mean is within its bound of what the float64 call
+    returns, and a bound that is inf or NaN proves nothing. The bound is
+    derived in ``halflearn.moment_test``.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a non-empty (n, d) array")
     n, d = points.shape
-    if not isinstance(monomials, np.ndarray):
-        monomials = np.array([m.exponents for m in monomials], dtype=np.int64)
-    if len(monomials) == 0:
-        return np.zeros(0, dtype=np.float64)
-    if not (np.issubdtype(monomials.dtype, np.signedinteger)
-            and monomials.ndim == 2 and monomials.shape[1] == d
-            and monomials.min() >= 0 and monomials.sum(axis=1).min() >= 1):
-        raise ValueError(f"monomials must be (m, {d}) exponents, degree >= 1")
-    monomials = np.ascontiguousarray(monomials, dtype=np.int64)
-    rows, cols, width, steps = _gram_plan(_ExponentTable(monomials))
-    block = max(1, _BLOCK_DOUBLES // width)
-    table = np.zeros((width, min(block, n)), dtype=np.float64)
+    frozen = _FROZEN.get(id(monomials))
+    if (frozen is not None and frozen[0]() is monomials
+            and not monomials.flags.writeable and monomials.shape[1] == d):
+        _, key, top = frozen
+    elif len(monomials) == 0:
+        empty = np.zeros(0, dtype=np.float64)
+        return (empty, empty) if single else empty
+    else:
+        monomials, top = _checked_table(monomials, d)
+        key = _ExponentTable(monomials)
+    rows, cols, width, steps = _gram_plan(key)
+    block = min(n, max(1, _BLOCK_DOUBLES // width))
+    table = np.zeros((width, block),
+                     dtype=np.float32 if single else np.float64)
     table[0] = 1.0
     gram = np.zeros((width, width), dtype=np.float64)
     # Only a coordinate far beyond any Gaussian sample overflows (to inf,
@@ -263,5 +339,14 @@ def batch_empirical_moments(points: np.ndarray,
             z[1:d + 1] = chunk.T
             for parent, coord, lo, hi in steps:
                 np.multiply(z[parent], z[coord:coord + hi - lo], out=z[lo:hi])
-            gram += z @ z.T
-        return gram[rows, cols] / n
+            gram += _single_gram(z) if single else z @ z.T
+        means = gram[rows, cols] / n
+        if not single:
+            return means
+        diagonal = gram.diagonal()
+        absolute = (16 * (top + 2) * _TINY32
+                    * np.maximum(1.0, diagonal.max()))
+        scale = (diagonal[rows] + diagonal[cols]) / (2 * n) + absolute
+        gamma = (2 * (min(block, _SINGLE_ROWS) + 2 * top + 4) * _U32
+                 + 2 * (n + 64) * _EPS)
+        return means, gamma * scale + 2 * absolute

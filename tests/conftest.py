@@ -59,6 +59,15 @@ def planted_e1(n, d, seed, flip=0.0):
     return LabeledSampleSet(points, labels), e_1
 
 
+def random_flip(marginal="gaussian"):
+    """(sample, v): 600k rows of ``marginal`` at d=8 from seed 0, labelled
+    by the halfspace v drawn from seed 0, each label flipped with
+    probability 0.05."""
+    v = random_unit_vector(8, np.random.default_rng(0))
+    return generate(8, 600_000, MarginalFamily(marginal), v,
+                    make_noise("random-flip", 0.05), 0), v
+
+
 def gaussian_set(n, d, seed):
     """n standard Gaussian rows, every label +1."""
     rng = np.random.default_rng(seed)

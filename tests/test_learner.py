@@ -8,12 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import basis_vector, cfg, planted, stdout_with_blas_threads
+from conftest import (basis_vector, cfg, planted, random_flip,
+                      stdout_with_blas_threads)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halflearn import (LabeledSampleSet, RunConfig, UnitVector,
-                       empirical_error, random_unit_vector, testable_learn)
+                       empirical_error, testable_learn)
 from halflearn import learner, update, weak
 from halflearn.core import margins, predict_batch
 from halflearn.datagen import MarginalFamily, NoiseModel, generate, make_noise
@@ -583,9 +584,7 @@ ROW_ORDERS = {
 
 @pytest.fixture(scope="module")
 def random_flip_rows():
-    v = random_unit_vector(8, np.random.default_rng(0))
-    return generate(8, 600_000, MarginalFamily("gaussian"), v,
-                    make_noise("random-flip", 0.05), seed=0), v
+    return random_flip("gaussian")
 
 
 class TestRowOrder:
@@ -692,7 +691,8 @@ class TestContract:
 
 
 class TestChowBudget:
-    def test_tiny_tau_sizes_each_estimate_from_its_rows(self, monkeypatch):
+    def test_tiny_tau_sizes_each_estimate_from_its_rows(self, monkeypatch,
+                                                         random_flip_rows):
         # At tau = 1e-100 the unclamped count 2 ceil(ln(d / tau')) + 1 is
         # about 470, so a count sized for a round's expected 2000 accepted
         # rows is the clamp, 199. The rate check admits as few as 1000,
@@ -706,9 +706,7 @@ class TestChowBudget:
             return real(s, batch_count, rng)
 
         monkeypatch.setattr(weak, "estimate_chow", chow)
-        v = random_unit_vector(8, np.random.default_rng(0))
-        s = generate(8, 600_000, MarginalFamily("gaussian"), v,
-                     make_noise("random-flip", 0.05), 0)
+        s, _ = random_flip_rows
         c = RunConfig(epsilon=0.05, tau=1e-100, seed=15)
         report = testable_learn(s, c.epsilon, c.tau, c)
         assert report.learned

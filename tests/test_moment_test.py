@@ -1,17 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from halflearn import LabeledSampleSet
+from halflearn import LabeledSampleSet, moment_test
 from halflearn.core import SLACK
 from halflearn.moment_test import (_reference_table, even_powers_reject,
                                    moment_match_test)
 from halflearn.moments import gaussian_moments
 
-from conftest import gaussian_set
+from conftest import gaussian_set, stdout_with_blas_threads
 
 
 def rademacher_set(n, d, seed):
@@ -175,3 +176,165 @@ class TestEvenPowerScreen:
         for got, want in ((reference[pure], one_ref[power - 1]),
                           (variance[pure], one_var[power - 1])):
             assert got.tobytes() == want.tobytes()
+
+
+def mixed_edge_set(n, d, side, ulps, heavy, seed):
+    """Rows whose mean x_0 x_1 sits on the lower (side -1) or upper
+    (side +1) edge of its band, moved by ``ulps`` ulps of r. Coordinate 0
+    takes magnitude r on ``heavy`` rows and s on the rest, with random
+    signs and mean x_0^2 = 1; x_1 is x_0 times ``side`` on the heavy rows
+    and times balanced signs on the rest (0 on one row if their count is
+    odd). The other coordinates are Gaussian."""
+    edge = SLACK * math.sqrt(1.0 / n)
+    r = math.sqrt(edge * n / heavy)
+    s2 = (n - heavy * r * r) / (n - heavy)
+    for _ in range(abs(ulps)):
+        r = math.nextafter(r, math.inf if ulps > 0 else 0.0)
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d))
+    order = rng.permutation(n)
+    light = n - heavy
+    magnitude = np.full(n, math.sqrt(s2))
+    magnitude[order[:heavy]] = r
+    sign = np.zeros(n)
+    sign[order[:heavy]] = side
+    sign[order[heavy:heavy + light // 2]] = 1.0
+    sign[order[heavy + light // 2:heavy + 2 * (light // 2)]] = -1.0
+    points[:, 0] = magnitude * rng.choice([-1.0, 1.0], size=n)
+    points[:, 1] = sign * points[:, 0]
+    return LabeledSampleSet(points, np.ones(n, dtype=int))
+
+
+@st.composite
+def mixed_edges(draw):
+    n = draw(st.integers(2000, 20_000))
+    return dict(n=n, d=draw(st.integers(2, 4)),
+                side=draw(st.sampled_from([-1, 1])),
+                ulps=draw(st.integers(-64, 64)),
+                heavy=draw(st.integers(1, n // 5)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def report_and_kernel_calls(s, k, mean=None, bound=None):
+    """moment_match_test(s, k) and the precision of each kernel call it
+    made (True for single). A ``mean`` or ``bound`` replaces every mean or
+    bound of the single-precision pass."""
+    real = moment_test.batch_empirical_moments
+    calls = []
+
+    def kernel(points, monomials, stop=None, *, single=False):
+        calls.append(single)
+        result = real(points, monomials, stop, single=single)
+        if not single:
+            return result
+        return tuple(got if value is None else np.full_like(got, value)
+                     for got, value in zip(result, (mean, bound)))
+
+    moment_test.batch_empirical_moments = kernel
+    try:
+        return moment_match_test(s, k), calls
+    finally:
+        moment_test.batch_empirical_moments = real
+
+
+def float64_report(s, k):
+    """The float64 test's report: a single-precision pass whose means and
+    bounds are all NaN proves nothing."""
+    return report_and_kernel_calls(s, k, np.nan, np.nan)[0]
+
+
+def with_coordinates(s, rows, column, values):
+    points = s.points.copy()
+    points[rows, column] = values
+    return LabeledSampleSet(points, s.labels)
+
+
+class TestSinglePrecisionPass:
+    """The single-precision pass certifies only what the float64 test
+    certifies, and every report is the float64 test's."""
+
+    @given(band_edges())
+    def test_pure_band_edges_give_the_float64_report(self, case):
+        # At a band's edge the single-precision mean falls on either side
+        # of it, so only the bound keeps that pass from certifying what the
+        # float64 test rejects.
+        s, m = band_edge_set(**case), case["m"]
+        assert moment_match_test(s, m) == float64_report(s, m)
+
+    @given(mixed_edges())
+    def test_mixed_band_edges_give_the_float64_report(self, case):
+        s = mixed_edge_set(**case)
+        assert moment_match_test(s, 2) == float64_report(s, 2)
+
+    def test_mixed_edge_construction(self):
+        # x_0 x_1 sits on its band's edge and is the only monomial out of
+        # its band, so the property test above reaches the cases where
+        # rounding decides.
+        for side in (-1, 1):
+            s = mixed_edge_set(5001, 3, side, 0, 500, 7)
+            mean = np.mean(s.points[:, 0] * s.points[:, 1])
+            assert mean == pytest.approx(side * SLACK / math.sqrt(5001),
+                                         rel=1e-12)
+            report = moment_match_test(s, 2)
+            assert all(v.monomial == (1, 1, 0)
+                       for v in report.worst_violations)
+            assert moment_match_test(mixed_edge_set(5001, 3, side, -4096,
+                                                    500, 7), 2).certified
+
+    @pytest.mark.parametrize("values", [1e20, 1e-30, 1e-40, 1e-320])
+    @pytest.mark.parametrize("rows", [slice(0, 10), slice(None)])
+    def test_extreme_coordinates_give_the_float64_report(self, values, rows):
+        # 1e20 overflows float32 when squared; 1e-30 underflows it when
+        # squared, 1e-40 is a float32 subnormal and 1e-320 a float64 one.
+        # RuntimeWarnings are errors here.
+        s = with_coordinates(gaussian_set(5000, 3, 0), rows, 1, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, calls = report_and_kernel_calls(s, 4)
+            want = float64_report(s, 4)
+        assert report == want
+        assert len(calls) == 1 + (not want.certified)
+        if values > 1:
+            assert not want.certified
+
+    def test_kernel_calls(self):
+        report, calls = report_and_kernel_calls(gaussian_set(20_000, 5, 1), 4)
+        assert report.certified and calls == [True]
+        report, calls = report_and_kernel_calls(rademacher_set(20_000, 5, 1),
+                                                4)
+        assert not report.certified and calls == [True, False]
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_large_low_dimensional_samples_certify_in_one_pass(self, d):
+        # A block holds 32,768 rows at d <= 4. Summed in one float32
+        # product, its bound on a degree-1 mean would be most of the band
+        # at this n, and every such test would run both passes.
+        report, calls = report_and_kernel_calls(
+            gaussian_set(1_250_000, d, 2), 4)
+        assert report.certified and calls == [True]
+
+    @pytest.mark.parametrize("bound", [np.inf, np.nan])
+    def test_inf_or_nan_bounds_prove_nothing(self, bound):
+        # An overflow turns the bounds inf or NaN, which never certifies,
+        # even where every single-precision mean is inside its band.
+        report, calls = report_and_kernel_calls(gaussian_set(20_000, 5, 1),
+                                                4, bound=bound)
+        assert report.certified and calls == [True, False]
+
+    def test_reports_independent_of_blas_threads(self):
+        script = (
+            "import numpy as np\n"
+            "from halflearn import LabeledSampleSet\n"
+            "from halflearn.moment_test import moment_match_test\n"
+            "rng = np.random.default_rng(3)\n"
+            "for n, d, k, scale in ((30_001, 12, 4, 1.0),\n"
+            "                       (20_000, 20, 4, 1.0),\n"
+            "                       (20_000, 5, 6, 1.0),\n"
+            "                       (20_000, 8, 4, 1.3)):\n"
+            "    points = scale * rng.standard_normal((n, d))\n"
+            "    print(moment_match_test(LabeledSampleSet(\n"
+            "        points, np.ones(n, dtype=int)), k))\n")
+        one, two = (stdout_with_blas_threads(script, t) for t in (1, 2))
+        assert one.count(b"MomentTestReport") == 4
+        assert b"worst_violations=()" in one and b"MomentViolation" in one
+        assert one == two

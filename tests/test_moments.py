@@ -391,3 +391,92 @@ class TestGramPlanCache:
         assert report.hypothesis is not None
         info = moments._gram_plan.cache_info()
         assert info.misses == 1 and info.hits >= 1
+
+
+class TestFrozenTables:
+    def test_frozen_table_is_neither_hashed_nor_checked(self, rng,
+                                                        monkeypatch):
+        points = rng.standard_normal((300, 5))
+        table = moments._frozen_exponents(5, 4)
+        want = batch_empirical_moments(points, monomial_exponents(5, 4))
+        hashed = []
+        real = moments.hashlib.sha256
+        monkeypatch.setattr(moments.hashlib, "sha256",
+                            lambda data: hashed.append(1) or real(data))
+        monkeypatch.setattr(moments, "_checked_table", None)
+        assert batch_empirical_moments(points, table).tobytes() == \
+            want.tobytes()
+        assert hashed == []
+
+    def test_other_tables_are_hashed_and_checked(self, rng, monkeypatch):
+        points = rng.standard_normal((300, 5))
+        table = moments._frozen_exponents(5, 4)
+        hashed = []
+        real = moments.hashlib.sha256
+        monkeypatch.setattr(moments.hashlib, "sha256",
+                            lambda data: hashed.append(1) or real(data))
+        batch_empirical_moments(points, table.copy())
+        assert hashed == [1]
+        # A frozen table made writable again is no longer trusted.
+        table.setflags(write=True)
+        table[0, 0] = -1
+        with pytest.raises(ValueError):
+            batch_empirical_moments(points, table)
+
+    def test_frozen_table_of_another_width_is_checked(self, rng):
+        table = moments._frozen_exponents(5, 4)
+        for d in (4, 6):
+            for single in (False, True):
+                with pytest.raises(ValueError):
+                    batch_empirical_moments(rng.standard_normal((300, d)),
+                                            table, single=single)
+
+    def test_entry_leaves_with_its_table(self):
+        table = moments._frozen_exponents(4, 3)
+        ident = id(table)
+        assert moments._FROZEN[ident][0]() is table
+        del table
+        assert ident not in moments._FROZEN
+
+
+def single_and_double(points, exponents):
+    means, bounds = batch_empirical_moments(points, exponents, single=True)
+    return means, bounds, batch_empirical_moments(points, exponents)
+
+
+class TestSinglePrecision:
+    @pytest.mark.parametrize("d, k, scale", [
+        (3, 4, 1.0), (12, 4, 1.0), (5, 8, 1.0), (3, 12, 1.0), (20, 3, 1.0),
+        (10, 8, 1.0), (4, 4, 1e-3), (4, 4, 1e3), (4, 6, 1e-9)])
+    def test_bounds_cover_the_float64_means(self, rng, d, k, scale):
+        points = scale * rng.standard_t(5, size=(20_001, d))
+        exponents = moments._frozen_exponents(d, k)
+        means, bounds, double = single_and_double(points, exponents)
+        assert means.dtype == bounds.dtype == np.float64
+        assert np.isfinite(bounds).all()
+        assert np.all(np.abs(means - double) <= bounds)
+
+    def test_bounds_are_the_same_for_any_table_form(self, rng):
+        points = rng.standard_normal((1000, 4))
+        got = [batch_empirical_moments(points, table, single=True)
+               for table in (moments._frozen_exponents(4, 4),
+                             monomial_exponents(4, 4),
+                             enumerate_monomials(4, 4))]
+        for means, bounds in got[1:]:
+            assert means.tobytes() == got[0][0].tobytes()
+            assert bounds.tobytes() == got[0][1].tobytes()
+
+    def test_overflow_makes_the_bounds_prove_nothing(self, rng):
+        points = rng.standard_normal((1000, 3))
+        points[5, 2] = 1e20
+        _, bounds = batch_empirical_moments(
+            points, moments._frozen_exponents(3, 4), single=True)
+        assert not np.isfinite(bounds).all()
+
+    def test_stop_ends_the_single_pass(self, rng):
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(moments.Stopped):
+            batch_empirical_moments(rng.standard_normal((100, 3)),
+                                    monomial_exponents(3, 2), stop,
+                                    single=True)

@@ -13,30 +13,22 @@ wedge statistics.
 
 import numpy as np
 import pytest
-from conftest import cfg
+from conftest import cfg, random_flip
 from test_learner import _widen_wedge_orthogonals, staged
 
-from halflearn import (LabeledSampleSet, generate, make_noise,
-                       random_unit_vector, testable_learn)
-from halflearn.datagen import MarginalFamily
-
-
-def _random_flip(marginal):
-    v = random_unit_vector(8, np.random.default_rng(0))
-    return generate(8, 600_000, MarginalFamily(marginal), v,
-                    make_noise("random-flip", 0.05), 0)
+from halflearn import LabeledSampleSet, testable_learn
 
 
 def _shifted_mean():
     # Coordinate 0 has mean 0.05: only odd-degree moments leave their
     # bands, so the verdict rests on two-sided odd-moment bands.
-    s = _random_flip("gaussian")
+    s = random_flip("gaussian")[0]
     return LabeledSampleSet(s.points + 0.05 * np.eye(8)[0], s.labels)
 
 
 INPUTS = {
-    "learned": lambda: _random_flip("gaussian"),
-    "weak_uniform_cube": lambda: _random_flip("uniform-cube"),
+    "learned": lambda: random_flip("gaussian")[0],
+    "weak_uniform_cube": lambda: random_flip("uniform-cube")[0],
     "weak_shifted_mean": _shifted_mean,
     "wedge_slab_moments": lambda: staged(_widen_wedge_orthogonals),
 }
